@@ -1,6 +1,6 @@
 #include "bench_util.h"
 
-#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
@@ -243,11 +243,14 @@ void RunResult::PrintJsonLine() const {
   std::fflush(stdout);
 }
 
-uint64_t PeakRssBytes() {
-  struct rusage ru;
-  std::memset(&ru, 0, sizeof(ru));
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<uint64_t>(ru.ru_maxrss) * 1024;
+uint64_t ResidentBytes() {
+  long pages = 0, resident = 0;
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%ld %ld", &pages, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return static_cast<uint64_t>(resident) *
+         static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
 }
 
 }  // namespace ringbench

@@ -182,8 +182,8 @@ struct RunResult {
   void PrintJsonLine() const;
 };
 
-// Peak resident set of this process so far, in bytes (getrusage).
-uint64_t PeakRssBytes();
+// Resident set of this process now, in bytes (/proc/self/statm).
+uint64_t ResidentBytes();
 
 }  // namespace ringbench
 

@@ -38,22 +38,29 @@ constexpr const char* kRevenueSql =
 constexpr const char* kOrderCountSql =
     "SELECT o.ckey, COUNT(*) FROM orders o GROUP BY o.ckey";
 
-// Point reads issued after every zipf-batch window.
-constexpr size_t kReadsPerWindow = 4;
-// Every 16th BatchBuilder::Add is timed on its own (op_*_us).
+// Point reads issued after every zipf-batch window. The first one after
+// a window misses the cache that ApplyPrepared just filled; at 64 reads
+// per window, read_p99_us lies inside that cold mode, not on its tail.
+constexpr size_t kReadsPerWindow = 64;
+// Every 16th BatchBuilder::Add is timed on its own (op_*_us). The phase
+// rotates with the window, so each position in a window (the first Add
+// after Build too) is sampled at its true share.
 constexpr size_t kAddSampleMask = 15;
 // Set-up repetitions per run; setup_s is their median.
-constexpr int kSetups = 3;
+constexpr size_t kSetups = 5;
 // Durability fixture: windows logged, checkpoint cadence (so recovery
 // loads the window-128 checkpoint and replays 128 windows), and
 // recoveries per run (recover_s is their median).
 constexpr size_t kFixtureWindows = 256;
 constexpr uint64_t kFixtureCheckpointEvery = 128;
 constexpr int kRecoveries = 5;
-// The timed phase runs in blocks; upd_per_s is the median block rate, so
-// a short stall of the host moves one block, not the figure. In a traced
-// run blocks alternate untraced and traced, so tracing overhead is
-// measured on the same engine state.
+// The timed phase runs in blocks. zipf-batch runs each block on every
+// replica in turn, so one window's copies are a block apart and a stall
+// shorter than a block slows only one of them. In a traced run blocks
+// alternate untraced and traced, so tracing overhead is measured on the
+// same engine state. upd_per_s is the untraced blocks' updates over their
+// time: windows differ in work, so a median of block rates would jump
+// between runs.
 constexpr size_t kZipfBlockWindows = 16;
 constexpr size_t kUniformBlockUpdates = 16384;
 // Spans written to the traced run's span file (all are kept in memory).
@@ -61,7 +68,8 @@ constexpr size_t kMaxSpansWritten = 20000;
 // serve-durable: every 16th open-loop update is a visibility sample.
 constexpr size_t kVisibleEvery = 16;
 // serve-durable: the burst runs in this many closed-loop segments, each
-// drained before the next; burst_upd_per_s is the median segment rate.
+// drained before the next (alternately untraced and traced in a traced
+// run); burst_upd_per_s is the untraced segments' updates over their time.
 constexpr size_t kBurstSegments = 16;
 
 double Us(uint64_t ns) { return static_cast<double>(ns) / 1e3; }
@@ -669,13 +677,33 @@ uint64_t SelfNs(const std::vector<std::pair<std::string, uint64_t>>& self,
 
 // ---- zipf-batch and uniform-tuple-rw -------------------------------------
 
+// Timer readings of one zipf-batch window on one replica: the window
+// (Add...Build + ApplyPrepared), the whole step including the point
+// reads, every sampled Add, and each point read.
+struct WindowSample {
+  uint64_t window_ns = 0;
+  uint64_t step_ns = 0;
+  std::vector<uint64_t> add_ns;
+  uint64_t read_ns[kReadsPerWindow] = {};
+};
+
+// Key of the r-th point read after the window that starts at ops[pos]:
+// the ckey of an orders update of that window.
+int64_t ReadKey(const std::vector<Op>& ops, size_t pos, size_t r) {
+  size_t k = pos + r * 7;
+  while (ops[k].kind > kDeleteOrders) ++k;
+  return ops[k].v[1];
+}
+
 // Shared driver of the two single-engine workloads. zipf-batch applies
 // windows of spec.batch via BatchBuilder + ApplyPrepared with point reads
-// between windows; uniform-tuple-rw applies single tuples via
-// Engine::Apply with the stream's point reads (ResultAt) mixed in.
+// between windows, on spec.replicas engines; uniform-tuple-rw applies
+// single tuples via Engine::Apply with the stream's point reads
+// (ResultAt) mixed in.
 void RunEngineWorkload(const Spec& spec, const std::vector<Op>& ops,
                        const RunOptions& options, RunResult* result) {
   const bool batched = spec.name == "zipf-batch";
+  const size_t replicas = spec.replicas;
   Program p;
   if (!Translate(spec, &p, result)) return;
   const EngineOptions eo = EngineOpts(spec, true);
@@ -688,21 +716,25 @@ void RunEngineWorkload(const Spec& spec, const std::vector<Op>& ops,
     if (!IsUpdate(ops[i])) ++timed_reads;
   }
   const size_t windows = spec.timed / spec.batch;
+  const size_t adds_sampled = spec.batch / (kAddSampleMask + 1);
 
   // Sample and span buffers are allocated and touched before the memory
   // baseline, so rss_mb measures the program, not the benchmark.
   EndToEnd e2e;
   e2e.window_us.assign(windows, 0.0);
-  e2e.op_us.assign(batched ? spec.timed / (kAddSampleMask + 1) + windows
-                           : spec.timed,
-                   0.0);
+  e2e.op_us.assign(batched ? windows * adds_sampled : spec.timed, 0.0);
   e2e.read_us.assign(batched ? windows * kReadsPerWindow : timed_reads, 0.0);
+  std::vector<std::vector<WindowSample>> block(
+      batched ? replicas : 0, std::vector<WindowSample>(kZipfBlockWindows));
+  for (auto& rep : block) {
+    for (WindowSample& s : rep) s.add_ns.assign(adds_sampled, 0);
+  }
   SpanLog spans;
   if (options.trace) {
-    spans.Reserve(batched ? windows * (4 + kReadsPerWindow) + 64
+    spans.Reserve(batched ? windows * replicas * (4 + kReadsPerWindow) + 64
                           : spec.timed + timed_reads + 1024);
   }
-  const uint64_t rss_base = PeakRssBytes();
+  const uint64_t rss_base = ResidentBytes();
 
   Layers layers;
   if (options.trace) {
@@ -711,38 +743,46 @@ void RunEngineWorkload(const Spec& spec, const std::vector<Op>& ops,
   WarmNativeCache(spec, p, result);
   if (!result->correct) return;
 
-  // Set-up: Engine::Create + preload, kSetups times; the last is kept.
-  std::unique_ptr<Engine> engine;
+  // Set-up: Engine::Create + preload. The first `replicas` set-ups are
+  // the timed phase's engines; the rest of the kSetups run after the
+  // memory reading, so no discarded engine shows in rss_mb.
   std::vector<double> create_ms;
-  for (int s = 0; s < kSetups; ++s) {
-    engine.reset();
+  auto set_up = [&]() -> std::unique_ptr<Engine> {
     const uint64_t t0 = NowNs();
-    engine = MakeEngine(p, 0, eo, result);
-    if (engine == nullptr) return;
+    std::unique_ptr<Engine> engine = MakeEngine(p, 0, eo, result);
+    if (engine == nullptr) return nullptr;
     const uint64_t t1 = NowNs();
     bool ok = ApplyWindows(p.catalog, engine.get(), ops, 0, tail_begin,
                            spec.batch, result);
     if (ok && spec.preload_tail > 0) {
       ok = ApplyTuples(engine.get(), ops, tail_begin, preload_end, result);
     }
-    if (!ok) return;
+    if (!ok) return nullptr;
     const uint64_t t2 = NowNs();
     e2e.setup_s.push_back(static_cast<double>(t2 - t0) / 1e9);
     create_ms.push_back(static_cast<double>(t1 - t0) / 1e6);
+    return engine;
+  };
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (size_t r = 0; r < replicas; ++r) {
+    engines.push_back(set_up());
+    if (engines.back() == nullptr) return;
   }
-  const std::vector<uint64_t> dispatch_before = DispatchFingerprint(*engine);
-  PrintDispatch(*engine);
+  std::vector<std::vector<uint64_t>> dispatch_before;
+  for (const auto& e : engines) {
+    dispatch_before.push_back(DispatchFingerprint(*e));
+    PrintDispatch(*e);
+  }
 
-  // Timed phase.
+  // Timed phase. Every call into the program is timed the same way in
+  // untraced and traced blocks; a traced block also records the readings
+  // as spans and its counter deltas.
   OpDecoder dec;
   BatchBuilder builder(p.catalog);
   uint64_t failed = 0;
   size_t n_op = 0, n_read = 0, n_win = 0;
-  // Traced-run bookkeeping: per block, wall time and updates, split by
-  // whether the block was traced; counter deltas over traced blocks.
   uint64_t wall_ns[2] = {0, 0}, wall_upd[2] = {0, 0};
-  std::vector<double> block_rates;  // untraced blocks, updates per second
-  block_rates.reserve(spec.timed / kUniformBlockUpdates + windows + 2);
+  uint64_t rate_ns = 0, rate_upd = 0;  // untraced blocks (fastest replica)
   Counters traced_counters;
   const uint32_t sp_window = spans.Name("window");
   const uint32_t sp_block = spans.Name("block");
@@ -754,74 +794,89 @@ void RunEngineWorkload(const Spec& spec, const std::vector<Op>& ops,
   uint64_t apply_span_ns = 0;  // ApplyPrepared / Apply spans, traced blocks
   std::vector<Value> key(1);
 
+  // Window w of the timed phase on `e`, timed into `s`.
+  auto run_window = [&](Engine* e, size_t w, bool traced, WindowSample* s) {
+    const size_t pos = preload_end + w * spec.batch;
+    const int32_t root = traced ? spans.Begin(sp_window, -1) : -1;
+    const uint64_t t0 = NowNs();
+    for (size_t k = 0; k < spec.batch; ++k) {
+      const ringdb::ring::Update& u = dec.Decode(ops[pos + k]);
+      if (((k + w) & kAddSampleMask) == 0) {
+        const uint64_t a = NowNs();
+        if (!builder.Add(u).ok()) ++failed;
+        s->add_ns[k / (kAddSampleMask + 1)] = NowNs() - a;
+      } else if (!builder.Add(u).ok()) {
+        ++failed;
+      }
+    }
+    const uint64_t t1 = NowNs();
+    const UpdateBatch batch = builder.Build();
+    const uint64_t t2 = NowNs();
+    if (!e->ApplyPrepared(batch).ok()) ++failed;
+    const uint64_t t3 = NowNs();
+    s->window_ns = t3 - t0;
+    if (traced) {
+      spans.Add(sp_add, root, t0, t1);
+      spans.Add(sp_build, root, t1, t2);
+      spans.Add(sp_prepared, root, t2, t3);
+      apply_span_ns += t3 - t2;
+    }
+    for (size_t r = 0; r < kReadsPerWindow; ++r) {
+      key[0] = Value(ReadKey(ops, pos, r));
+      const uint64_t a = NowNs();
+      (void)e->ResultAt(key);
+      const uint64_t b = NowNs();
+      s->read_ns[r] = b - a;
+      if (traced) spans.Add(sp_read, root, a, b);
+    }
+    s->step_ns = NowNs() - t0;
+    spans.End(root);
+  };
+
   const uint64_t t_begin = NowNs();
   if (batched) {
-    size_t pos = preload_end;
+    // Blocks of windows run on every replica in turn; each reading keeps
+    // its fastest replica.
     for (size_t b0 = 0; b0 < windows; b0 += kZipfBlockWindows) {
       const bool traced = options.trace && (b0 / kZipfBlockWindows) % 2 == 1;
-      const size_t b1 = std::min(windows, b0 + kZipfBlockWindows);
-      Counters before;
-      if (traced) before = Counters::Of(*engine);
-      const uint64_t block_t0 = NowNs();
-      for (size_t w = b0; w < b1; ++w) {
-        if (!traced) {
-          const uint64_t t0 = NowNs();
-          for (size_t k = 0; k < spec.batch; ++k) {
-            const ringdb::ring::Update& u = dec.Decode(ops[pos + k]);
-            if ((k & kAddSampleMask) == 0) {
-              const uint64_t a = NowNs();
-              if (!builder.Add(u).ok()) ++failed;
-              e2e.op_us[n_op++] = Us(NowNs() - a);
-            } else if (!builder.Add(u).ok()) {
-              ++failed;
-            }
-          }
-          UpdateBatch batch = builder.Build();
-          if (!engine->ApplyPrepared(batch).ok()) ++failed;
-          const uint64_t t2 = NowNs();
-          e2e.window_us[n_win++] = Us(t2 - t0);
-          for (size_t r = 0; r < kReadsPerWindow; ++r) {
-            key[0] = Value(int64_t{ops[pos + r * 7].v[1]});
-            const uint64_t a = NowNs();
-            const ringdb::Numeric v = engine->ResultAt(key);
-            e2e.read_us[n_read++] = Us(NowNs() - a);
-            (void)v;
-          }
-        } else {
-          const int32_t root = spans.Begin(sp_window, -1);
-          const int32_t add = spans.Begin(sp_add, root);
-          for (size_t k = 0; k < spec.batch; ++k) {
-            if (!builder.Add(dec.Decode(ops[pos + k])).ok()) ++failed;
-          }
-          spans.End(add);
-          const int32_t build = spans.Begin(sp_build, root);
-          UpdateBatch batch = builder.Build();
-          spans.End(build);
-          const uint64_t a = NowNs();
-          if (!engine->ApplyPrepared(batch).ok()) ++failed;
-          const uint64_t b = NowNs();
-          spans.Add(sp_prepared, root, a, b);
-          apply_span_ns += b - a;
-          for (size_t r = 0; r < kReadsPerWindow; ++r) {
-            key[0] = Value(int64_t{ops[pos + r * 7].v[1]});
-            const int32_t rd = spans.Begin(sp_read, root);
-            (void)engine->ResultAt(key);
-            spans.End(rd);
-          }
-          spans.End(root);
+      const size_t n = std::min(windows, b0 + kZipfBlockWindows) - b0;
+      for (size_t r = 0; r < replicas; ++r) {
+        Engine* e = engines[r].get();
+        Counters before;
+        if (traced) before = Counters::Of(*e);
+        const uint64_t block_t0 = NowNs();
+        for (size_t j = 0; j < n; ++j) {
+          run_window(e, b0 + j, traced, &block[r][j]);
         }
-        pos += spec.batch;
+        wall_ns[traced] += NowNs() - block_t0;
+        wall_upd[traced] += n * spec.batch;
+        if (traced) traced_counters.AddDelta(before, Counters::Of(*e));
       }
-      const uint64_t block_t1 = NowNs();
-      wall_ns[traced] += block_t1 - block_t0;
-      wall_upd[traced] += (b1 - b0) * spec.batch;
-      if (!traced) {
-        block_rates.push_back(static_cast<double>((b1 - b0) * spec.batch) /
-                              (static_cast<double>(block_t1 - block_t0) / 1e9));
+      if (traced) continue;
+      for (size_t j = 0; j < n; ++j) {
+        auto fastest = [&](auto reading) {
+          uint64_t m = UINT64_MAX;
+          for (size_t r = 0; r < replicas; ++r) {
+            m = std::min<uint64_t>(m, reading(block[r][j]));
+          }
+          return m;
+        };
+        rate_ns += fastest([](const WindowSample& s) { return s.step_ns; });
+        e2e.window_us[n_win++] =
+            Us(fastest([](const WindowSample& s) { return s.window_ns; }));
+        for (size_t a = 0; a < adds_sampled; ++a) {
+          e2e.op_us[n_op++] = Us(
+              fastest([a](const WindowSample& s) { return s.add_ns[a]; }));
+        }
+        for (size_t r = 0; r < kReadsPerWindow; ++r) {
+          e2e.read_us[n_read++] = Us(
+              fastest([r](const WindowSample& s) { return s.read_ns[r]; }));
+        }
       }
-      if (traced) traced_counters.AddDelta(before, Counters::Of(*engine));
+      rate_upd += n * spec.batch;
     }
   } else {
+    Engine* e = engines[0].get();
     size_t in_window = 0, block_upd = 0;
     bool traced = false;
     Counters before;
@@ -829,38 +884,30 @@ void RunEngineWorkload(const Spec& spec, const std::vector<Op>& ops,
     uint64_t block_t0 = NowNs(), win_t0 = block_t0;
     for (size_t i = preload_end; i < timed_end; ++i) {
       const Op& op = ops[i];
-      if (!IsUpdate(op)) {
-        key[0] = Value(int64_t{op.v[0]});
-        if (!traced) {
-          const uint64_t a = NowNs();
-          (void)engine->ResultAt(key);
-          e2e.read_us[n_read++] = Us(NowNs() - a);
-        } else {
-          const int32_t rd = spans.Begin(sp_read, block_span);
-          (void)engine->ResultAt(key);
-          spans.End(rd);
-        }
-        continue;
+      const bool read = !IsUpdate(op);
+      if (read) key[0] = Value(int64_t{op.v[0]});
+      const ringdb::ring::Update* u = read ? nullptr : &dec.Decode(op);
+      const uint64_t a = NowNs();
+      if (read) {
+        (void)e->ResultAt(key);
+      } else if (!e->Apply(*u).ok()) {
+        ++failed;
       }
-      const ringdb::ring::Update& u = dec.Decode(op);
-      if (!traced) {
-        const uint64_t a = NowNs();
-        if (!engine->Apply(u).ok()) ++failed;
-        const uint64_t b = NowNs();
-        e2e.op_us[n_op++] = Us(b - a);
+      const uint64_t b = NowNs();
+      if (traced) {
+        spans.Add(read ? sp_read : sp_apply, block_span, a, b);
+        if (!read) apply_span_ns += b - a;
+      } else if (read) {
+        e2e.read_us[n_read++] = Us(b - a);
       } else {
-        const uint64_t a = NowNs();
-        if (!engine->Apply(u).ok()) ++failed;
-        const uint64_t b = NowNs();
-        spans.Add(sp_apply, block_span, a, b);
-        apply_span_ns += b - a;
+        e2e.op_us[n_op++] = Us(b - a);
       }
+      if (read) continue;
       if (++in_window == spec.batch) {
-        const uint64_t now = NowNs();
         if (!traced && n_win < e2e.window_us.size()) {
-          e2e.window_us[n_win++] = Us(now - win_t0);
+          e2e.window_us[n_win++] = Us(b - win_t0);
         }
-        win_t0 = now;
+        win_t0 = b;
         in_window = 0;
       }
       if (++block_upd == kUniformBlockUpdates || i + 1 == timed_end) {
@@ -868,16 +915,11 @@ void RunEngineWorkload(const Spec& spec, const std::vector<Op>& ops,
         spans.End(block_span);
         wall_ns[traced] += block_t1 - block_t0;
         wall_upd[traced] += block_upd;
-        if (!traced) {
-          block_rates.push_back(static_cast<double>(block_upd) /
-                                (static_cast<double>(block_t1 - block_t0) /
-                                 1e9));
-        }
-        if (traced) traced_counters.AddDelta(before, Counters::Of(*engine));
+        if (traced) traced_counters.AddDelta(before, Counters::Of(*e));
         block_upd = 0;
         traced = options.trace && !traced;
         if (traced) {
-          before = Counters::Of(*engine);
+          before = Counters::Of(*e);
           block_span = spans.Begin(sp_block, -1);
         }
         block_t0 = NowNs();
@@ -891,34 +933,52 @@ void RunEngineWorkload(const Spec& spec, const std::vector<Op>& ops,
   e2e.window_us.resize(n_win);
   e2e.op_us.resize(n_op);
   e2e.read_us.resize(n_read);
-  e2e.upd_per_s = Median(block_rates);
-  std::printf("# timed phase: %zu updates in %.3f s (%.0f upd/s overall); "
-              "median of %zu block rates %.0f upd/s\n",
-              spec.timed, static_cast<double>(t_end - t_begin) / 1e9,
-              static_cast<double>(spec.timed) /
-                  (static_cast<double>(t_end - t_begin) / 1e9),
-              block_rates.size(), e2e.upd_per_s);
+  if (!batched) {
+    rate_ns = wall_ns[0];
+    rate_upd = wall_upd[0];
+  }
+  e2e.upd_per_s = static_cast<double>(rate_upd) /
+                  (static_cast<double>(std::max<uint64_t>(rate_ns, 1)) / 1e9);
+  std::printf("# timed phase: %zu updates x %zu replica(s) in %.3f s; "
+              "%zu untraced updates at %.0f upd/s\n",
+              spec.timed, replicas,
+              static_cast<double>(t_end - t_begin) / 1e9,
+              static_cast<size_t>(rate_upd), e2e.upd_per_s);
   // Closed loop: the timed phase is itself a burst.
   e2e.burst_upd_per_s = e2e.upd_per_s;
-  const uint64_t rss_peak = PeakRssBytes();
-  e2e.rss_mb = static_cast<double>(rss_peak - std::min(rss_peak, rss_base)) /
-               (1024.0 * 1024.0);
+  // The replicas hold identical state, so the program's memory is the
+  // growth shared out over them.
+  const uint64_t rss_end = ResidentBytes();
+  e2e.rss_mb = static_cast<double>(rss_end - std::min(rss_end, rss_base)) /
+               (1024.0 * 1024.0) / static_cast<double>(replicas);
 
-  if (DispatchFingerprint(*engine) != dispatch_before) {
-    result->Fail("profile-guided dispatch was still profiling during the "
-                 "timed phase (lengthen the preload)");
+  for (size_t r = 0; r < replicas; ++r) {
+    if (DispatchFingerprint(*engines[r]) != dispatch_before[r]) {
+      result->Fail("profile-guided dispatch was still profiling during the "
+                   "timed phase (lengthen the preload)");
+    }
   }
-  const Engine::EngineStats final_stats = engine->Stats();
+  const Engine::EngineStats final_stats = engines[0]->Stats();
   layers.view_mb =
       static_cast<double>(final_stats.approx_bytes) / (1024.0 * 1024.0);
   layers.stmts = static_cast<double>(final_stats.statements.size());
-  layers.s_labels = StmtLabels(*engine);
+  layers.s_labels = StmtLabels(*engines[0]);
+  const std::vector<std::string> digests = {EngineDigest(*engines[0])};
+  for (size_t r = 1; r < replicas; ++r) {
+    if (EngineDigest(*engines[r]) != digests[0]) {
+      result->Fail("replica " + std::to_string(r) +
+                   " ended with a different result than replica 0");
+    }
+  }
+  engines.clear();
+  for (size_t s = replicas; s < kSetups; ++s) {
+    if (set_up() == nullptr) return;
+  }
   layers.create_ms = Median(create_ms);
-  const std::vector<std::string> digests = {EngineDigest(*engine)};
-  engine.reset();
 
-  result->attempted = spec.timed + (batched ? windows * kReadsPerWindow
-                                            : timed_reads);
+  result->attempted = (spec.timed + (batched ? windows * kReadsPerWindow
+                                             : timed_reads)) *
+                      replicas;
   result->failed = failed;
   if (failed > 0) result->Fail("operations failed in the timed phase");
 
@@ -1024,7 +1084,7 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
   if (options.trace) {
     spans.Reserve(spec.open_loop + max_reads + samples + spec.timed + 64);
   }
-  const uint64_t rss_base = PeakRssBytes();
+  const uint64_t rss_base = ResidentBytes();
 
   Layers layers;
   if (options.trace) {
@@ -1034,31 +1094,28 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
   if (!result->correct) return;
 
   // Set-up: service construction, registration, Start and the preload
-  // pushed closed-loop until drained; kSetups times, the last is kept.
+  // pushed closed-loop until drained. The first set-up is the live
+  // service; the rest of the kSetups run after the memory reading, in a
+  // directory of their own.
   const std::string live_dir = options.work_dir + "/live";
-  std::unique_ptr<QueryService> svc;
   std::vector<double> create_ms;
-  for (int s = 0; s < kSetups; ++s) {
-    svc.reset();
-    ResetDir(live_dir);
+  auto set_up = [&](const std::string& dir) -> std::unique_ptr<QueryService> {
+    ResetDir(dir);
     const uint64_t t0 = NowNs();
-    svc = MakeService(spec, p, live_dir, result);
-    if (svc == nullptr) return;
+    auto svc = MakeService(spec, p, dir, result);
+    if (svc == nullptr) return nullptr;
     const uint64_t t1 = NowNs();
     svc->Start();
     const uint64_t failed = PushAll(svc.get(), ops, 0, preload_end);
     svc->Drain();
     const uint64_t t2 = NowNs();
     if (failed != 0) result->Fail("preload Push failed");
-    {
-      const QueryService::ServiceStats ss = svc->Stats();
-      std::printf("# setup %d: %lld windows, %llu checkpoints\n", s,
-                  static_cast<long long>(ss.windows),
-                  static_cast<unsigned long long>(ss.durability.checkpoints));
-    }
     e2e.setup_s.push_back(static_cast<double>(t2 - t0) / 1e9);
     create_ms.push_back(static_cast<double>(t1 - t0) / 1e6);
-  }
+    return svc;
+  };
+  std::unique_ptr<QueryService> svc = set_up(live_dir);
+  if (svc == nullptr) return;
 
   // Open loop: one generator thread (this one) pushes updates at
   // spec.open_rate and issues Get calls at spec.read_rate, timing each
@@ -1135,6 +1192,7 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
     }
   }
   svc->Drain();
+  const uint64_t wal_before_burst = svc->Stats().durability.wal_bytes;
 
   // Burst: closed-loop segments, alternately untraced and traced in a
   // traced run, each timed from its first Push until it has drained.
@@ -1142,8 +1200,6 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
   std::thread watcher_thread([&watcher] { watcher.Run(); });
   uint64_t seg_ns[2] = {0, 0}, seg_upd[2] = {0, 0};
   uint64_t seg_push_ns = 0;  // Push + Drain spans, traced segments
-  std::vector<double> seg_rates;
-  seg_rates.reserve(kBurstSegments);
   const size_t seg_len = (spec.timed + kBurstSegments - 1) / kBurstSegments;
   size_t seg_done = 0;
   for (size_t seg = 0; seg < kBurstSegments; ++seg) {
@@ -1156,14 +1212,12 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
     for (size_t i = begin; i < end && i < burst_end; ++i) {
       if (!IsUpdate(ops[i])) continue;
       const ringdb::ring::Update& u = dec.Decode(ops[i]);
+      const uint64_t a = NowNs();
+      if (!svc->Push(u).ok()) ++failed;
+      const uint64_t b = NowNs();
       if (traced) {
-        const uint64_t a = NowNs();
-        if (!svc->Push(u).ok()) ++failed;
-        const uint64_t b = NowNs();
         spans.Add(sp_push, root, a, b);
         seg_push_ns += b - a;
-      } else if (!svc->Push(u).ok()) {
-        ++failed;
       }
       ++pushed;
     }
@@ -1177,15 +1231,18 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
     spans.End(root);
     seg_ns[traced] += t1 - t0;
     seg_upd[traced] += pushed;
-    if (!traced) {
-      seg_rates.push_back(static_cast<double>(pushed) /
-                          (static_cast<double>(t1 - t0) / 1e9));
-    }
     seg_done += pushed;
   }
   watcher.stop.store(true, std::memory_order_release);
   watcher_thread.join();
-  e2e.burst_upd_per_s = Median(seg_rates);
+  // WAL bytes per update over the burst's full windows: the open loop's
+  // window sizes follow the host's timing, the burst's do not.
+  e2e.wal_bytes_per_upd =
+      static_cast<double>(svc->Stats().durability.wal_bytes -
+                          wal_before_burst) /
+      static_cast<double>(std::max<uint64_t>(seg_upd[0] + seg_upd[1], 1));
+  e2e.burst_upd_per_s = static_cast<double>(seg_upd[0]) /
+                        (static_cast<double>(seg_ns[0]) / 1e9);
   // upd_per_s is the pipeline's closed-loop rate too: the open-loop
   // phase's applied rate is the offered rate, which no code change moves.
   e2e.upd_per_s = e2e.burst_upd_per_s;
@@ -1194,8 +1251,11 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
   const int32_t stop_span = spans.Begin(sp_stop, -1);
   svc->Stop();
   spans.End(stop_span);
-  const uint64_t rss_peak = PeakRssBytes();
-  e2e.rss_mb = static_cast<double>(rss_peak - std::min(rss_peak, rss_base)) /
+  // Resident memory once stopped: the peak would include the last
+  // checkpoint's transient buffers, whose effect on it followed the
+  // allocator's timing from run to run.
+  const uint64_t rss_end = ResidentBytes();
+  e2e.rss_mb = static_cast<double>(rss_end - std::min(rss_end, rss_base)) /
                (1024.0 * 1024.0);
 
   // Quiesced: read the program's exact counters.
@@ -1208,8 +1268,6 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
     result->Fail("service applied " + std::to_string(st.applied) +
                  " updates, pushed " + std::to_string(spec.total_updates()));
   }
-  e2e.wal_bytes_per_upd = static_cast<double>(st.durability.wal_bytes) /
-                          static_cast<double>(std::max<uint64_t>(st.applied, 1));
   std::vector<std::string> digests;
   for (size_t q = 0; q < p.queries.size(); ++q) {
     digests.push_back(SnapshotDigest(*svc->snapshot(q)));
@@ -1227,7 +1285,6 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
     layers.s_labels = StmtLabels(e0);
     layers.FromCounters(Counters::Of(e0), st.applied);
   }
-  layers.create_ms = Median(create_ms);
   layers.morsels_per_window =
       static_cast<double>(morsels) /
       static_cast<double>(std::max<int64_t>(st.windows, 1)) /
@@ -1274,6 +1331,10 @@ void RunServeWorkload(const Spec& spec, const std::vector<Op>& ops,
     }
     again->Stop();
   }
+  for (size_t s = 1; s < kSetups; ++s) {
+    if (set_up(options.work_dir + "/setup") == nullptr) return;
+  }
+  layers.create_ms = Median(create_ms);
 
   gap_us.resize(n_gap);
   late_us.resize(n_late);
@@ -1337,8 +1398,11 @@ bool MakeSpec(const std::string& workload, int seconds, Spec* spec) {
     s.zipf_s = 1.1;
     s.preload = 300 * 1024;
     // About 7 ms per window on the sizing host; at least 1,100 windows so
-    // that window_p90_us has over 100 samples beyond it.
+    // that window_p90_us has over 100 samples beyond it. Each runs on 3
+    // replicas: a cache-resident join loop is the most exposed to what
+    // other tenants do to the shared cache.
     s.timed = std::max<size_t>(1100, secs * 140) * 1024;
+    s.replicas = 3;
     s.shards = 1;
     s.oracle_prefix = 32 * 1024;
     s.program_threads = 0;
@@ -1360,7 +1424,9 @@ bool MakeSpec(const std::string& workload, int seconds, Spec* spec) {
     s.domain = 4096;
     s.zipf_s = 1.1;
     s.preload = 300 * 1024;
-    // About 20% of the pipeline's closed-loop capacity on the sizing host.
+    // About 17% of the pipeline's closed-loop capacity (burst_upd_per_s,
+    // about 177k upd/s) on the sizing host; at 40% the visibility figures
+    // spread too widely between runs to be read.
     s.open_rate = 30000.0;
     s.read_rate = 20000.0;
     s.open_loop = static_cast<size_t>(s.open_rate * 1.5 *

@@ -33,6 +33,10 @@ struct Spec {
   size_t preload_tail = 0;
   size_t shards = 1;
   size_t batch = 1024;
+  // Engines that each run every timed window (zipf-batch): a window's
+  // figure is its fastest replica's, so a host stall that hits one copy
+  // does not move it.
+  size_t replicas = 1;
   // serve-durable pacing.
   double open_rate = 0.0;  // offered updates per second
   double read_rate = 0.0;  // offered Get calls per second
