@@ -22,6 +22,10 @@ struct Spec {
   int64_t domain = 4096;
   double zipf_s = 0.0;
   double delete_fraction = 0.15;
+  // When > 0, deletes keep each relation at this many live rows instead of
+  // following delete_fraction: once a relation is full, every insert into
+  // it is preceded by the delete of one of its live rows, chosen at random.
+  size_t live_rows = 0;
   // Read events generated into the orders stream (uniform-tuple-rw).
   double orders_read_fraction = 0.0;
   // Update counts of the phases, in stream order.
@@ -33,10 +37,6 @@ struct Spec {
   size_t preload_tail = 0;
   size_t shards = 1;
   size_t batch = 1024;
-  // Engines that each run every timed window (zipf-batch): a window's
-  // figure is its fastest replica's, so a host stall that hits one copy
-  // does not move it.
-  size_t replicas = 1;
   // serve-durable pacing.
   double open_rate = 0.0;  // offered updates per second
   double read_rate = 0.0;  // offered Get calls per second
