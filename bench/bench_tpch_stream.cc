@@ -81,11 +81,6 @@ struct SweepResult {
   std::string stream;
   std::string config;
   std::string backend;  // "interpret" or "compile"
-  // Batch delta representation the run executed with: "columnar" (the
-  // default dense-column windows) or "row" (RINGDB_FORCE_ROW=1 legacy
-  // per-tuple path; the differential suite pins both to identical
-  // results and operation counts).
-  std::string representation;
   size_t batch_size;
   size_t shards;
   double upd_per_s;
@@ -119,8 +114,7 @@ std::vector<ScalingEntry> ComputeScaling(
     const SweepResult* base = nullptr;
     for (const SweepResult& b : results) {
       if (b.batch_size == 1024 && b.shards == 1 && b.stream == r.stream &&
-          b.backend == r.backend && b.representation == r.representation &&
-          b.config.rfind("durability=", 0) != 0) {
+          b.backend == r.backend && b.config.rfind("durability=", 0) != 0) {
         base = &b;
         break;
       }
@@ -167,13 +161,6 @@ bool AssertScaling(const std::vector<ScalingEntry>& scaling) {
   return ok;
 }
 
-// The representation the executors will run with, decided by the same
-// environment knob the executors sample at construction.
-const char* ActiveRepresentation() {
-  const char* force_row = std::getenv("RINGDB_FORCE_ROW");
-  return force_row != nullptr && force_row[0] == '1' ? "row" : "columnar";
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -209,16 +196,14 @@ void WriteSnapshotJson(const Options& opt,
     const SweepResult& r = results[i];
     std::fprintf(f,
                  "        {\"stream\": \"%s\", \"config\": \"%s\", "
-                 "\"backend\": \"%s\", \"representation\": \"%s\", "
-                 "\"batch_size\": %zu, \"shards\": %zu, "
-                 "\"hardware_concurrency\": %u, "
+                 "\"backend\": \"%s\", \"batch_size\": %zu, "
+                 "\"shards\": %zu, \"hardware_concurrency\": %u, "
                  "\"upd_per_s\": %.0f, \"approx_bytes\": %zu,\n"
                  "         \"stage_breakdown\": %s,\n"
                  "         \"stats\": %s}%s\n",
                  JsonEscape(r.stream).c_str(), JsonEscape(r.config).c_str(),
-                 JsonEscape(r.backend).c_str(),
-                 JsonEscape(r.representation).c_str(), r.batch_size,
-                 r.shards, std::thread::hardware_concurrency(),
+                 JsonEscape(r.backend).c_str(), r.batch_size, r.shards,
+                 std::thread::hardware_concurrency(),
                  r.upd_per_s, r.approx_bytes,
                  r.stage_breakdown.empty() ? "null"
                                            : r.stage_breakdown.c_str(),
@@ -403,8 +388,6 @@ void BatchShardSweep(const Options& opt,
   };
   const int kUpdates = opt.updates;
   std::vector<SweepResult> sweep_results;
-
-  const char* representation = ActiveRepresentation();
   for (const Config& stream_config : stream_configs) {
     if (opt.stream != "both") {
       const bool is_zipf = stream_config.zipf_s > 0.0;
@@ -487,8 +470,7 @@ void BatchShardSweep(const Options& opt,
         const size_t bytes = engine->sharded().ApproxBytes();
         sweep_results.push_back(
             SweepResult{stream_config.name, config.name, backend_name,
-                        representation, config.batch_size,
-                        engine->num_shards(), tput, bytes,
+                        config.batch_size, engine->num_shards(), tput, bytes,
                         engine->StatsJson(9),
                         traced ? engine->TraceBreakdownJson(9)
                                : std::string()});
@@ -637,8 +619,8 @@ void DurabilitySweep(const Options& opt,
     }
     const std::string config = std::string("durability=") + row.name;
     all_results->push_back(SweepResult{
-        "zipf(1.1), 15% deletes", config, "interpret",
-        ActiveRepresentation(), kBatch, 1, tput, 0, engine->StatsJson(9)});
+        "zipf(1.1), 15% deletes", config, "interpret", kBatch, 1, tput, 0,
+        engine->StatsJson(9)});
     char a[32], b[32], c[32], d[32];
     std::snprintf(a, sizeof(a), "%.0f", tput);
     std::snprintf(b, sizeof(b), "%.2fx", tput / baseline);

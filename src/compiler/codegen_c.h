@@ -18,7 +18,7 @@
 //  - view probes, loop enumeration, and emissions call through the
 //    RdbHostApi function-pointer table (runtime/native_abi.h), so the
 //    module has no link-time dependencies and views stay host-owned
-//    (sharding, serving snapshots, and merge-on-read are unaffected).
+//    (sharding, serving snapshots, and result reads are unaffected).
 //
 // Not everything is emitted. Statements touching the lazy domain-
 // maintenance machinery (slice enumeration, lazy drivers or probes, lazy

@@ -17,9 +17,9 @@
 // coalescing (BatchBuilder appends each event's values to the column
 // tails), so there is no row-to-column transpose pass. Downstream loop
 // drivers (Executor::ApplyDeltaColumns, the native columnar-window entry
-// points) index the columns directly; call sites that still want a tuple
-// at a time use the RowView/Rows() adapter, which is a pair of pointers —
-// no materialization.
+// points) index the columns directly; paths that need a contiguous tuple
+// (single-row groups, nonlinear triggers, lazy base-database upkeep)
+// gather one row at a time with GatherRow.
 
 #ifndef RINGDB_EXEC_BATCH_H_
 #define RINGDB_EXEC_BATCH_H_
@@ -53,54 +53,14 @@ struct RelationDelta {
   bool empty() const { return mults.empty(); }
 
   // Copies row r into out[0..arity), which must have room for arity()
-  // values. The row-gather used by fallback paths that need a contiguous
-  // tuple (legacy row representation, nonlinear triggers).
+  // values. The row-gather used by paths that need a contiguous tuple
+  // (single-row groups, nonlinear triggers, lazy base-database upkeep).
   void GatherRow(size_t r, Value* out) const {
     for (size_t c = 0; c < columns.size(); ++c) out[c] = columns[c][r];
   }
 
   // Sum of |multiplicity| over rows (tuple-units the delta stands for).
   uint64_t TupleUnits() const;
-
-  // Cheap per-tuple adapter over the columnar storage for call sites that
-  // read one row at a time (tests, printing). Holds a delta pointer and a
-  // row id; no values are copied.
-  class RowView {
-   public:
-    RowView(const RelationDelta* d, size_t row) : d_(d), row_(row) {}
-    size_t arity() const { return d_->columns.size(); }
-    const Value& operator[](size_t c) const { return d_->columns[c][row_]; }
-    const Numeric& multiplicity() const { return d_->mults[row_]; }
-    size_t row() const { return row_; }
-
-   private:
-    const RelationDelta* d_;
-    size_t row_;
-  };
-
-  class RowIterator {
-   public:
-    RowIterator(const RelationDelta* d, size_t row) : d_(d), row_(row) {}
-    RowView operator*() const { return RowView(d_, row_); }
-    RowIterator& operator++() {
-      ++row_;
-      return *this;
-    }
-    bool operator!=(const RowIterator& o) const { return row_ != o.row_; }
-
-   private:
-    const RelationDelta* d_;
-    size_t row_;
-  };
-
-  struct RowRange {
-    const RelationDelta* d;
-    RowIterator begin() const { return RowIterator(d, 0); }
-    RowIterator end() const { return RowIterator(d, d->size()); }
-  };
-  RowRange Rows() const { return RowRange{this}; }
-
-  RowView Row(size_t r) const { return RowView(this, r); }
 };
 
 // An immutable coalesced batch, produced by BatchBuilder::Build.

@@ -29,9 +29,10 @@
 //     shard's last morsel freezes the shard's root into an immutable
 //     FrozenView (runtime/frozen_view.h) while still holding the token;
 //     readers compose the per-shard FrozenViews (serve::ResultSnapshot)
-//     instead of paying ForEachRootMerged's merge-on-read, and a shard
-//     untouched by a window carries its previous FrozenView forward by
-//     epoch (no copy, no scan).
+//     without any cross-shard merge, and a shard untouched by a window
+//     carries its previous FrozenView forward by epoch (no copy, no
+//     scan). Standalone-engine reads (Engine::ResultGmr/ResultAt/
+//     ResultScalar) sum the live shard roots by ring addition.
 //
 // Steal behaviour is observable (morsels_run/morsels_stolen counters,
 // kSpanShardSteal/kSpanShardPublish window-trace spans) and testable:
@@ -49,7 +50,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "compiler/ir.h"
@@ -118,45 +118,6 @@ class ShardedExecutor {
   runtime::Executor& shard(size_t i) { return *shards_[i]; }
   const runtime::Executor& shard(size_t i) const { return *shards_[i]; }
 
-  // Merge-on-read: invokes fn(key, multiplicity) for every root-view
-  // entry of every shard (templated straight through ViewTable::ForEach,
-  // no type erasure). One group key may appear in several shards; callers
-  // merge by ring addition.
-  template <typename Fn>
-  void ForEachRoot(Fn&& fn) const {
-    for (const auto& shard : shards_) shard->root().ForEach(fn);
-  }
-
-  // Like ForEachRoot, but group keys appearing in several shards are
-  // pre-merged by ring addition: fn sees each root key exactly once with
-  // its global multiplicity (keys whose shard contributions cancel to
-  // zero are skipped). Standalone-engine read path (Engine::ResultGmr);
-  // the serving pipeline composes RootSubSnapshots() instead. The merge
-  // map is member scratch guarded by its own mutex; racing the *writer*
-  // is on the caller, as for every read path here.
-  template <typename Fn>
-  void ForEachRootMerged(Fn&& fn) const {
-    if (shards_.size() == 1) {
-      shards_[0]->root().ForEach(fn);
-      return;
-    }
-    const uint64_t t0 = obs::NowNs();
-    std::lock_guard<std::mutex> lock(merge_mu_);
-    merge_scratch_.clear();
-    merge_scratch_.reserve(last_merge_size_ + last_merge_size_ / 8 + 8);
-    for (const auto& shard : shards_) {
-      shard->root().ForEach([&](runtime::KeyView key, Numeric m) {
-        auto [it, inserted] = merge_scratch_.try_emplace(key.ToKey(), m);
-        if (!inserted) it->second += m;
-      });
-    }
-    last_merge_size_ = merge_scratch_.size();
-    for (const auto& [key, m] : merge_scratch_) {
-      if (!m.IsZero()) fn(runtime::KeyView(key), m);
-    }
-    RINGDB_OBS(merge_ns_.Record(obs::NowNs() - t0));
-  }
-
   // --- Shard-owned publication ----------------------------------------
 
   // Turns on eager per-shard publication: the worker finishing a shard's
@@ -209,15 +170,11 @@ class ShardedExecutor {
   void ResetStats();
   size_t ApproxBytes() const;
 
-  // Pipeline stage spans, batch-boundary granularity: wall time of one
+  // Pipeline stage span, batch-boundary granularity: wall time of one
   // shard applying its window (first morsel begin → last morsel end, so
-  // the spread exposes shard skew), and wall time of one merged root
-  // read.
+  // the spread exposes shard skew).
   obs::HistogramSnapshot ApplySpanSnapshot() const {
     return apply_ns_.Snapshot();
-  }
-  obs::HistogramSnapshot MergeSpanSnapshot() const {
-    return merge_ns_.Snapshot();
   }
 
   // Window tracer hook: set by the owning thread before ApplyBatch (the
@@ -302,20 +259,12 @@ class ShardedExecutor {
   bool native_enabled_ = false;
   Status native_status_ = Status::Ok();
 
-  // ForEachRootMerged scratch (mutable: merge-on-read is logically
-  // const). Reused across calls, guarded by merge_mu_; see the method
-  // comment.
-  mutable std::mutex merge_mu_;
-  mutable std::unordered_map<runtime::Key, Numeric, runtime::KeyHash>
-      merge_scratch_;
-  mutable size_t last_merge_size_ = 0;
-
   // Published sub-snapshots. subs_[s] is current iff sub_epoch_[s] ==
   // mutation_epoch_. Writers: the worker finishing shard s (under the
   // shard token), the router (epoch carry for untouched shards, before
   // the handshake), and RootSubSnapshots (lazy freeze on a quiescent
   // executor) — all disjoint-by-index or ordered by the pool handshake.
-  // Mutable: lazy freezing is logically const, like the merge scratch.
+  // Mutable: lazy freezing is logically const.
   uint64_t mutation_epoch_ = 1;
   mutable std::vector<runtime::FrozenViewPtr> subs_;
   mutable std::vector<uint64_t> sub_epoch_;
@@ -325,10 +274,9 @@ class ShardedExecutor {
   obs::Counter morsels_run_;
   obs::Counter morsels_stolen_;
 
-  // Stage-span histograms (atomic buckets: shard workers record
-  // concurrently; merge records under merge_mu_ but reads race freely).
+  // Stage-span histogram (atomic buckets: shard workers record
+  // concurrently).
   obs::Histogram apply_ns_;
-  mutable obs::Histogram merge_ns_;
 
   // Per-window trace target. Written by the batch owner before the
   // generation handshake, read by workers after it (the mu_ acquire

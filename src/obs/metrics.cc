@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/table_printer.h"
@@ -19,17 +20,21 @@ HistogramSnapshot Histogram::Snapshot() const {
   snap.min = min_.load(std::memory_order_relaxed);
   snap.max = max_.load(std::memory_order_relaxed);
   // Quantile q = upper bound of the first bucket whose cumulative count
-  // reaches q * total. Bucket b covers [2^(b-1), 2^b), so the upper
-  // bound is (1 << b) - 1 (bucket 0 is exactly {0}).
+  // reaches q * total, clamped to the exact [min, max]. Bucket b covers
+  // [2^(b-1), 2^b), so the upper bound is (1 << b) - 1 (bucket 0 is
+  // exactly {0}). The clamp is min-then-max rather than std::clamp: a
+  // snapshot racing the first Record can see min > max.
   auto quantile = [&](uint64_t rank) -> uint64_t {
     uint64_t cum = 0;
+    uint64_t bound = (uint64_t{1} << (kBuckets - 1)) - 1;
     for (size_t b = 0; b < kBuckets; ++b) {
       cum += counts[b];
       if (cum >= rank) {
-        return b == 0 ? 0 : (uint64_t{1} << b) - 1;
+        bound = b == 0 ? 0 : (uint64_t{1} << b) - 1;
+        break;
       }
     }
-    return (uint64_t{1} << (kBuckets - 1)) - 1;
+    return std::min(std::max(bound, snap.min), snap.max);
   };
   snap.p50 = quantile((snap.count + 1) / 2);
   snap.p90 = quantile((snap.count * 9 + 9) / 10);

@@ -158,10 +158,10 @@ class Gauge {
 };
 
 // Read-time summary of a Histogram (also the unit JSON/text exporters
-// format). Quantiles are upper bounds of the containing log2 bucket;
-// min/max/sum (and therefore mean()) are exact — tracked per Record
-// with relaxed CAS extremes, so exported stats carry one exact central
-// moment alongside the bucket-estimated tail.
+// format). Quantiles are upper bounds of the containing log2 bucket,
+// clamped to [min, max]; min/max/sum (and therefore mean()) are exact —
+// tracked per Record with relaxed CAS extremes, so exported stats carry
+// one exact central moment alongside the bucket-estimated tail.
 struct HistogramSnapshot {
   uint64_t count = 0;
   uint64_t sum = 0;

@@ -115,6 +115,7 @@ void TraceRecorder::AddSpan(uint64_t seq, TraceSpanKind kind, uint32_t query,
   span.meta.store(meta, std::memory_order_relaxed);
   span.begin_ns.store(begin_ns, std::memory_order_relaxed);
   span.end_ns.store(end_ns, std::memory_order_relaxed);
+  span.tag.store(seq, std::memory_order_release);
 }
 
 void TraceRecorder::FinishWindow(uint64_t seq) {
@@ -149,6 +150,8 @@ std::vector<WindowTrace> TraceRecorder::Export() const {
     w.spans.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
       const SpanSlot& span = slot.spans[j];
+      // Claimed but not yet published (or still the previous occupant's).
+      if (span.tag.load(std::memory_order_acquire) != seq) continue;
       const uint64_t meta = span.meta.load(std::memory_order_relaxed);
       TraceSpan s;
       s.kind = static_cast<TraceSpanKind>(meta & 0xff);
@@ -157,7 +160,7 @@ std::vector<WindowTrace> TraceRecorder::Export() const {
       s.mode = static_cast<uint32_t>((meta >> 40) & 0xff);
       s.begin_ns = span.begin_ns.load(std::memory_order_relaxed);
       s.end_ns = span.end_ns.load(std::memory_order_relaxed);
-      if (s.end_ns != 0) w.spans.push_back(s);
+      w.spans.push_back(s);
     }
     // Seqlock validation: if the slot was recycled while we copied, the
     // frame moved on — drop the torn copy.

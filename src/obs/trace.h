@@ -148,10 +148,16 @@ class TraceRecorder {
   }
 
  private:
+  // BeginWindow resets nspans but not the span payloads, and AddSpan
+  // claims its index before it writes, so a claimed span may still hold
+  // the previous occupant's fields. `tag` is the publication mark: the
+  // window seq, stored (release) after the payload. Export keeps a span
+  // only when its tag (acquire) equals the slot's started seq.
   struct SpanSlot {
     std::atomic<uint64_t> meta{0};  // kind | query<<8 | shard<<24 | mode<<40
     std::atomic<uint64_t> begin_ns{0};
     std::atomic<uint64_t> end_ns{0};
+    std::atomic<uint64_t> tag{0};
   };
   struct Slot {
     // Seqlock frame: started is published (release) after the clear,

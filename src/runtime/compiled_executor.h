@@ -5,8 +5,8 @@
 // CompiledExecutor is plug-compatible with the interpreter — it overrides
 // exactly one seam, RunStatement, and inherits everything else: trigger
 // dispatch, delta batching, grouped statement-major execution, lazy
-// domain maintenance, stats, and every read path (root views, sharding
-// merge-on-read, serving snapshots). A native statement executes as
+// domain maintenance, stats, and every read path (root views, cross-shard
+// result sums, serving snapshots). A native statement executes as
 //
 //   host RunStatement            native statement function
 //   ------------------           ----------------------------------

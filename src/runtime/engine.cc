@@ -106,15 +106,19 @@ Numeric Engine::ResultAt(const std::vector<Value>& group_values) const {
 
 ring::Gmr Engine::ResultGmr() const {
   CheckNotApplying();
+  // Ring addition over the shard roots: Gmr::Add sums a group key that
+  // several shards hold and drops it when the contributions cancel.
   ring::Gmr out;
-  sharded_->ForEachRootMerged([&](KeyView key, Numeric m) {
-    std::vector<ring::Tuple::Field> fields;
-    fields.reserve(group_vars_.size());
-    for (size_t i = 0; i < group_vars_.size(); ++i) {
-      fields.emplace_back(group_vars_[i], key[root_key_order_[i]]);
-    }
-    out.Add(ring::Tuple::FromFields(std::move(fields)), m);
-  });
+  for (size_t s = 0; s < sharded_->num_shards(); ++s) {
+    sharded_->shard(s).root().ForEach([&](KeyView key, Numeric m) {
+      std::vector<ring::Tuple::Field> fields;
+      fields.reserve(group_vars_.size());
+      for (size_t i = 0; i < group_vars_.size(); ++i) {
+        fields.emplace_back(group_vars_[i], key[root_key_order_[i]]);
+      }
+      out.Add(ring::Tuple::FromFields(std::move(fields)), m);
+    });
+  }
   return out;
 }
 
@@ -141,7 +145,6 @@ Engine::EngineStats Engine::Stats() const {
   out.num_shards = sharded_->num_shards();
   out.native_enabled = sharded_->native_enabled();
   out.shard_apply_ns = sharded_->ApplySpanSnapshot();
-  out.merge_ns = sharded_->MergeSpanSnapshot();
   const exec::ShardedExecutor::StealStats steals = sharded_->steal_stats();
   out.morsels_run = steals.morsels_run;
   out.morsels_stolen = steals.morsels_stolen;
@@ -186,15 +189,12 @@ std::string Engine::StatsText() const {
          " entries_touched=" + std::to_string(st.totals.entries_touched) +
          " morsels_run=" + std::to_string(st.morsels_run) +
          " morsels_stolen=" + std::to_string(st.morsels_stolen) + "\n";
-  auto span = [&](const char* name, const obs::HistogramSnapshot& s) {
-    out += std::string(name) + ": n=" + std::to_string(s.count) +
-           " mean=" + std::to_string(s.mean()) +
-           "ns p50=" + std::to_string(s.p50) +
-           "ns p99=" + std::to_string(s.p99) +
-           "ns max=" + std::to_string(s.max) + "ns\n";
-  };
-  span("shard_apply", st.shard_apply_ns);
-  span("merge_read", st.merge_ns);
+  const obs::HistogramSnapshot& apply = st.shard_apply_ns;
+  out += "shard_apply: n=" + std::to_string(apply.count) +
+         " mean=" + std::to_string(apply.mean()) +
+         "ns p50=" + std::to_string(apply.p50) +
+         "ns p99=" + std::to_string(apply.p99) +
+         "ns max=" + std::to_string(apply.max) + "ns\n";
   TablePrinter table({"statement", "invocations", "loop_iters", "probes",
                       "emissions", "native", "interp", "win ms", "mode"});
   for (const StmtStats& row : st.statements) {
@@ -271,8 +271,6 @@ std::string Engine::StatsJson(int indent) const {
          ",\n";
   out += pad + "  \"shard_apply_ns\": ";
   obs::AppendHistogramJson(st.shard_apply_ns, &out);
-  out += ",\n" + pad + "  \"merge_ns\": ";
-  obs::AppendHistogramJson(st.merge_ns, &out);
   out += ",\n" + pad + "  \"statements\": [\n";
   for (size_t i = 0; i < st.statements.size(); ++i) {
     const StmtStats& row = st.statements[i];

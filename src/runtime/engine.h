@@ -184,7 +184,6 @@ class Engine {
     size_t num_shards = 0;
     bool native_enabled = false;
     obs::HistogramSnapshot shard_apply_ns;  // per shard per batch
-    obs::HistogramSnapshot merge_ns;        // merged root reads
     uint64_t morsels_run = 0;     // window morsels executed (all shards)
     uint64_t morsels_stolen = 0;  // executed by a non-owner worker
   };

@@ -7,9 +7,8 @@
 // precomputed ring total of all its multiplicities. serve::ResultSnapshot
 // composes the per-shard FrozenViews by shared_ptr — readers probe each
 // part and sum in the ring, full scans lazily merge — so publication
-// never pays ShardedExecutor::ForEachRootMerged's merge-on-read barrier,
-// and a shard untouched by a window republishes its previous FrozenView
-// for free (the epoch-carry in ShardedExecutor).
+// never merges shards, and a shard untouched by a window republishes its
+// previous FrozenView for free (the epoch-carry in ShardedExecutor).
 //
 // Immutable after Freeze(): every accessor is const and safe to call from
 // any number of threads with no synchronization beyond the happens-before

@@ -1,7 +1,6 @@
 #include "runtime/interpreter.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "agca/eval.h"
 #include "util/check.h"
@@ -65,10 +64,6 @@ Executor::Executor(compiler::TriggerProgram program)
   loop_key_scratch_.resize(lowered_->max_loop_depth);
   stmt_counters_.resize(std::max<uint32_t>(lowered_->num_statements, 1));
   cur_counters_ = stmt_counters_.data();
-  // Representation toggle for differential testing: force the legacy
-  // row-at-a-time batch path even when the caller hands us columns.
-  const char* force_row = std::getenv("RINGDB_FORCE_ROW");
-  force_row_ = force_row != nullptr && force_row[0] == '1';
 }
 
 Status Executor::ApplyDelta(Symbol relation, const std::vector<Value>& values,
@@ -122,62 +117,6 @@ void Executor::ApplyDeltaUnchecked(Symbol relation,
   }
 }
 
-Status Executor::ApplyDeltaBatch(Symbol relation,
-                                 const std::vector<Delta>& deltas) {
-  if (deltas.empty()) return Status::Ok();
-  if (!program_.catalog.Has(relation)) {
-    return Status::NotFound("unknown relation " + relation.str());
-  }
-  const size_t arity = program_.catalog.Arity(relation);
-  for (const Delta& d : deltas) {
-    if (d.values->size() != arity) {
-      return Status::InvalidArgument("arity mismatch in batch delta of " +
-                                     relation.str());
-    }
-  }
-  // Split by sign (insert trigger for net-positive entries, delete
-  // trigger for net-negative); each sign group runs as one sequential
-  // block, so cross-relation read dependencies see a consistent prefix.
-  std::vector<Delta> by_sign[2];
-  for (const Delta& d : deltas) {
-    if (d.multiplicity.IsZero()) continue;
-    RINGDB_CHECK(d.multiplicity.is_integer());
-    by_sign[d.multiplicity.AsInt() > 0 ? 0 : 1].push_back(d);
-  }
-  for (int s = 0; s < 2; ++s) {
-    const std::vector<Delta>& group = by_sign[s];
-    if (group.empty()) continue;
-    const ring::Update::Sign sign = s == 0 ? ring::Update::Sign::kInsert
-                                           : ring::Update::Sign::kDelete;
-    const int t = FindTrigger(relation, sign);
-    const bool linear =
-        t >= 0 &&
-        program_.triggers[static_cast<size_t>(t)].multiplicity_linear &&
-        group.size() > 1;
-    if (linear) {
-      for (const Delta& d : group) {
-        const int64_t m = d.multiplicity.AsInt();
-        stats_.updates += static_cast<uint64_t>(m > 0 ? m : -m);
-        ++stats_.delta_entries;
-        if (m > 1 || m < -1) ++stats_.scaled_firings;
-      }
-      RunLinearTriggerBatch(static_cast<size_t>(t), group);
-      if (has_lazy_views_) {
-        base_db_.Reserve(relation, group.size());
-        for (const Delta& d : group) {
-          base_db_.AddTuple(relation, *d.values, d.multiplicity);
-        }
-      }
-    } else {
-      // Entries were validated against the catalog above.
-      for (const Delta& d : group) {
-        ApplyDeltaUnchecked(relation, *d.values, d.multiplicity);
-      }
-    }
-  }
-  return Status::Ok();
-}
-
 Status Executor::ApplyDeltaColumns(const exec::RelationDelta& delta,
                                    const uint32_t* rows, size_t n) {
   if (rows == nullptr) n = delta.size();
@@ -189,12 +128,10 @@ Status Executor::ApplyDeltaColumns(const exec::RelationDelta& delta,
     return Status::InvalidArgument("arity mismatch in batch delta of " +
                                    delta.relation.str());
   }
-  if (force_row_) return ApplyDeltaRowFallback(delta, rows, n);
   ++col_epoch_;
   // Split by sign (insert trigger for net-positive rows, delete trigger
   // for net-negative); each sign group runs as one sequential block, so
-  // cross-relation read dependencies see a consistent prefix. Mirrors
-  // ApplyDeltaBatch exactly, over row ids instead of entry copies.
+  // cross-relation read dependencies see a consistent prefix.
   sign_rows_[0].clear();
   sign_rows_[1].clear();
   for (size_t i = 0; i < n; ++i) {
@@ -221,8 +158,8 @@ Status Executor::ApplyDeltaColumns(const exec::RelationDelta& delta,
         ++stats_.delta_entries;
         if (m > 1 || m < -1) ++stats_.scaled_firings;
       }
-      RunLinearTriggerBatchColumnar(static_cast<size_t>(t), delta,
-                                    group.data(), group.size());
+      RunLinearTriggerColumns(static_cast<size_t>(t), delta, group.data(),
+                              group.size());
       if (has_lazy_views_) {
         base_db_.Reserve(delta.relation, group.size());
         row_gather_.resize(delta.arity());
@@ -242,27 +179,13 @@ Status Executor::ApplyDeltaColumns(const exec::RelationDelta& delta,
   return Status::Ok();
 }
 
-Status Executor::ApplyDeltaRowFallback(const exec::RelationDelta& delta,
+void Executor::RunLinearTriggerColumns(size_t trigger_idx,
+                                       const exec::RelationDelta& delta,
                                        const uint32_t* rows, size_t n) {
-  row_values_scratch_.resize(n);
-  row_deltas_scratch_.clear();
-  row_deltas_scratch_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t r = rows != nullptr ? rows[i] : static_cast<uint32_t>(i);
-    std::vector<Value>& values = row_values_scratch_[i];
-    values.resize(delta.arity());
-    delta.GatherRow(r, values.data());
-    row_deltas_scratch_.push_back(Delta{&values, delta.mults[r]});
-  }
-  return ApplyDeltaBatch(delta.relation, row_deltas_scratch_);
-}
-
-void Executor::RunLinearTriggerBatchColumnar(size_t trigger_idx,
-                                             const exec::RelationDelta& delta,
-                                             const uint32_t* rows, size_t n) {
-  // Statement-major, like RunLinearTriggerBatch; the grouping decisions
-  // and every semantic counter are identical to the row path — only the
-  // execution mechanics (column indexing, window dispatch) differ.
+  // Statement-major: linearity guarantees no statement reads anything
+  // this trigger writes, so all firings of one statement see the same
+  // state and merge freely. Shape keys hash straight out of the columns
+  // and each statement fires as one window through RunStatementWindow.
   const std::vector<Value>* cols = delta.columns.data();
   const uint32_t arity = static_cast<uint32_t>(delta.arity());
   for (const lower::StmtProgram& sp : lowered_->stmts[trigger_idx]) {
@@ -338,8 +261,8 @@ void Executor::RunLinearTriggerBatchColumnar(size_t trigger_idx,
         rep_hashes_.push_back(h);
       }
     }
-    // Fire the survivors in first-touch order, like the row path's
-    // reps_scratch_ walk (zero coefficients are skipped uncounted).
+    // Fire the survivors in first-touch order (zero coefficients are
+    // skipped uncounted).
     win_rows_.clear();
     win_scales_.clear();
     for (size_t g = 0; g < rep_rows_.size(); ++g) {
@@ -380,57 +303,6 @@ void Executor::RunStatementWindow(const lower::StmtProgram& sp,
       param_gather_[c] = win.cols[c][r];
     }
     RunStatement(sp, param_gather_.data(), win.scales[i], rhs);
-  }
-}
-
-void Executor::RunLinearTriggerBatch(size_t trigger_idx,
-                                     const std::vector<Delta>& deltas) {
-  // Statement-major: linearity guarantees no statement reads anything
-  // this trigger writes, so all firings of one statement see the same
-  // state and merge freely.
-  for (const lower::StmtProgram& sp : lowered_->stmts[trigger_idx]) {
-    if (!sp.groupable) {
-      for (const Delta& d : deltas) {
-        ++stats_.statements_run;
-        RINGDB_OBS(++stmt_counters_[sp.stmt_id].invocations);
-        const int64_t m = d.multiplicity.AsInt();
-        RunStatement(sp, d.values->data(), Numeric(m > 0 ? m : -m), sp.rhs);
-      }
-      continue;
-    }
-    // Accumulate one coefficient per distinct shape projection:
-    // sum over entries of |multiplicity| * product(foldable params).
-    groups_scratch_.clear();
-    reps_scratch_.clear();
-    shape_scratch_.resize(sp.shape_params.size());
-    for (const Delta& d : deltas) {
-      const std::vector<Value>& values = *d.values;
-      for (size_t i = 0; i < sp.shape_params.size(); ++i) {
-        shape_scratch_[i] = values[sp.shape_params[i]];
-      }
-      const int64_t m = d.multiplicity.AsInt();
-      Numeric coeff(m > 0 ? m : -m);
-      for (uint16_t p : sp.foldable_params) {
-        auto n = values[p].ToNumeric();
-        RINGDB_CHECK(n.ok());
-        coeff *= *n;
-        ++stats_.arithmetic_ops;
-      }
-      auto [slot, inserted] =
-          groups_scratch_.try_emplace(shape_scratch_, reps_scratch_.size());
-      if (inserted) {
-        reps_scratch_.emplace_back(&values, coeff);
-      } else {
-        reps_scratch_[slot->second].second += coeff;
-        ++stats_.arithmetic_ops;
-      }
-    }
-    for (const auto& [rep_values, coeff] : reps_scratch_) {
-      if (coeff.IsZero()) continue;
-      ++stats_.statements_run;
-      RINGDB_OBS(++stmt_counters_[sp.stmt_id].invocations);
-      RunStatement(sp, rep_values->data(), coeff, sp.grouped_rhs);
-    }
   }
 }
 
@@ -720,10 +592,6 @@ size_t Executor::ApproxBytes() const {
   bytes += rep_hashes_.capacity() * sizeof(uint64_t);
   bytes += (param_gather_.capacity() + row_gather_.capacity()) *
            sizeof(Value);
-  for (const std::vector<Value>& row : row_values_scratch_) {
-    bytes += row.capacity() * sizeof(Value);
-  }
-  bytes += row_deltas_scratch_.capacity() * sizeof(Delta);
   return bytes;
 }
 

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -79,8 +78,8 @@ class Executor {
     uint64_t interp_calls = 0;     // run by the bytecode interpreter
     // Wall ns spent in this statement's whole-window dispatches
     // (RunStatementWindow). Timing, not a semantic count: it varies by
-    // backend and run, so the backend/representation invariance suites
-    // exclude it. Zero on the per-tuple path, which never runs windows.
+    // backend and run, so the backend invariance suites exclude it. Zero
+    // on the per-tuple path, which never runs windows.
     uint64_t window_ns = 0;
   };
 
@@ -124,26 +123,6 @@ class Executor {
   Status ApplyDelta(Symbol relation, const std::vector<Value>& values,
                     Numeric multiplicity);
 
-  // One delta-GMR entry of a batch, pointing into caller-owned storage.
-  struct Delta {
-    const std::vector<Value>* values;
-    Numeric multiplicity;
-  };
-
-  // Applies a relation's delta GMR (same net semantics as calling
-  // ApplyDelta per entry, in order). For multiplicity-linear triggers the
-  // statements additionally run *statement-major with grouping*: entries
-  // that agree on a statement's shape params (those resolved into loop
-  // probes, target keys, or view-lookup keys) share one execution whose
-  // emission scale is the group's accumulated coefficient — multiplicity
-  // times the product of the rhs's pure scalar-multiplier params. This is
-  // the batch delta rule: e.g. the revenue query's per-lineitem join loop
-  // runs once per distinct order key in the batch instead of once per
-  // lineitem event. Sound because linearity makes every firing read only
-  // views this trigger never writes, so reordering and merging firings
-  // cannot change what they observe.
-  Status ApplyDeltaBatch(Symbol relation, const std::vector<Delta>& deltas);
-
   // A columnar execution window: `n` firings of one statement, row i
   // reading its trigger params from cols[c][rows[i]] and scaling its
   // emissions by scales[i]. `cols` points at the arity dense columns of a
@@ -162,15 +141,22 @@ class Executor {
     uint64_t epoch = 0;
   };
 
-  // Applies a columnar relation delta (or the subset selected by `rows`,
-  // when non-null) with the same net semantics and operation counts as
-  // routing each row through ApplyDeltaBatch. This is the batch fast
-  // path: sign groups become ColWindows driven statement-major straight
-  // off the column arrays — no per-row Value vectors, no KeyView callback
-  // binding. Setting RINGDB_FORCE_ROW=1 in the environment (sampled at
-  // construction) re-materializes rows and runs the legacy row
-  // representation instead; the differential tests use that to pin
-  // row/columnar equivalence.
+  // Applies a columnar relation delta GMR (or the subset selected by
+  // `rows`, when non-null) with the same net semantics as calling
+  // ApplyDelta per row, in order. For multiplicity-linear triggers the
+  // statements additionally run *statement-major with grouping*: rows
+  // that agree on a statement's shape params (those resolved into loop
+  // probes, target keys, or view-lookup keys) share one execution whose
+  // emission scale is the group's accumulated coefficient — multiplicity
+  // times the product of the rhs's pure scalar-multiplier params. This is
+  // the batch delta rule: e.g. the revenue query's per-lineitem join loop
+  // runs once per distinct order key in the batch instead of once per
+  // lineitem event. Sound because linearity makes every firing read only
+  // views this trigger never writes, so reordering and merging firings
+  // cannot change what they observe. Sign groups become ColWindows driven
+  // straight off the column arrays — no per-row Value vectors, no KeyView
+  // callback binding. Single-row groups and nonlinear triggers take the
+  // per-tuple path (ApplyDelta's firing loop).
   Status ApplyDeltaColumns(const exec::RelationDelta& delta,
                            const uint32_t* rows, size_t n);
   Status ApplyDeltaColumns(const exec::RelationDelta& delta) {
@@ -207,12 +193,10 @@ class Executor {
     out->assign(lowered_->num_statements, StmtDispatch{});
   }
   // How this executor dispatches whole columnar windows, for per-shard
-  // trace spans: 0 = row fallback (RINGDB_FORCE_ROW), 1 = interpreted /
-  // gathered windows, 2 = native window entry points, 3 = still
-  // profiling. Base executor never has native windows.
-  virtual uint32_t window_dispatch_mode() const {
-    return force_row_ ? 0u : 1u;
-  }
+  // trace spans: 1 = interpreted / gathered windows, 2 = native window
+  // entry points, 3 = still profiling. Base executor never has native
+  // windows.
+  virtual uint32_t window_dispatch_mode() const { return 1; }
   void ResetStats() {
     stats_ = Stats();
     std::fill(stmt_counters_.begin(), stmt_counters_.end(), StmtCounters{});
@@ -298,19 +282,11 @@ class Executor {
   // `scale` (1 for unit firings).
   void FireTrigger(size_t trigger_idx, const Value* params, Numeric scale);
   // Statement-major grouped execution of a linear trigger over same-sign
-  // delta entries (see ApplyDeltaBatch).
-  void RunLinearTriggerBatch(size_t trigger_idx,
-                             const std::vector<Delta>& deltas);
-  // Columnar twin of RunLinearTriggerBatch: same grouping decisions and
-  // operation counts, but shape keys hash straight out of the columns
-  // (no Key materialization) and statements fire through
-  // RunStatementWindow. `rows` lists same-sign row ids of `delta`.
-  void RunLinearTriggerBatchColumnar(size_t trigger_idx,
-                                     const exec::RelationDelta& delta,
-                                     const uint32_t* rows, size_t n);
-  // ApplyDeltaColumns under RINGDB_FORCE_ROW=1: gathers the selected rows
-  // back into per-row Value vectors and replays the legacy row path.
-  Status ApplyDeltaRowFallback(const exec::RelationDelta& delta,
+  // rows of a columnar delta (see ApplyDeltaColumns): shape keys hash
+  // straight out of the columns (no Key materialization) and statements
+  // fire through RunStatementWindow. `rows` lists the row ids.
+  void RunLinearTriggerColumns(size_t trigger_idx,
+                               const exec::RelationDelta& delta,
                                const uint32_t* rows, size_t n);
   void RunLoops(const compiler::lower::StmtProgram& sp, size_t loop_index,
                 const Value* params, const compiler::lower::RhsProgram& rhs);
@@ -381,17 +357,11 @@ class Executor {
   std::vector<Key> loop_key_scratch_;  // per-depth index probe subkeys
   Key probe_scratch_;                  // rhs view-lookup keys
   Key slice_scratch_;                  // lazy slice subkeys
-  // Batch grouping scratch (RunLinearTriggerBatch).
-  Key shape_scratch_;
-  std::unordered_map<Key, size_t, KeyHash> groups_scratch_;
-  std::vector<std::pair<const std::vector<Value>*, Numeric>> reps_scratch_;
-
-  // Columnar batch scratch (ApplyDeltaColumns /
-  // RunLinearTriggerBatchColumnar); counted by ApproxBytes. The grouped
-  // path open-addresses representative rows directly: group_slots_ maps
-  // hash -> rep index, reps keep (row id, accumulated coefficient, hash)
-  // in first-touch order — no shape Key is ever materialized.
-  bool force_row_ = false;          // RINGDB_FORCE_ROW=1 at construction
+  // Columnar batch scratch (ApplyDeltaColumns / RunLinearTriggerColumns);
+  // counted by ApproxBytes. The grouped path open-addresses
+  // representative rows directly: group_slots_ maps hash -> rep index,
+  // reps keep (row id, accumulated coefficient, hash) in first-touch
+  // order — no shape Key is ever materialized.
   uint64_t col_epoch_ = 0;          // bumped once per columnar delta
   std::vector<uint32_t> sign_rows_[2];
   std::vector<uint32_t> group_slots_;
@@ -402,9 +372,6 @@ class Executor {
   std::vector<Numeric> win_scales_;    // parallel per-firing scales
   std::vector<Value> param_gather_;    // RunStatementWindow base impl
   std::vector<Value> row_gather_;      // single-row gathers (lazy, fallback)
-  // RINGDB_FORCE_ROW re-materialization buffers.
-  std::vector<std::vector<Value>> row_values_scratch_;
-  std::vector<Delta> row_deltas_scratch_;
 };
 
 }  // namespace runtime

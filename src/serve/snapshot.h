@@ -5,10 +5,10 @@
 // the count of input tuple-units those windows carried) and the query's
 // grouped result *composed* from per-shard immutable sub-snapshots
 // (runtime::FrozenView, published by the shard that applied the window —
-// see ShardedExecutor::RootSubSnapshots). Composition replaces the old
-// merge-on-read barrier: building a snapshot collects one shared_ptr per
-// shard plus an O(shards) ring sum of precomputed totals — no global
-// scan, no quiesce beyond the batch boundary the caller already owns.
+// see ShardedExecutor::RootSubSnapshots). Building a snapshot merges no
+// shards: it collects one shared_ptr per shard plus an O(shards) ring sum
+// of precomputed totals — no global scan, no quiesce beyond the batch
+// boundary the caller already owns.
 //
 // Reads against the composition:
 //  - scalar(): precomputed at build (sum of per-part totals).

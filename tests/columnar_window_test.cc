@@ -5,10 +5,10 @@
 // must agree with the AGCA reevaluation oracle — including degenerate
 // windows (all-cancelling coalesced deltas, single-column relations)
 // across batch sizes {1, 7, 1024}, shard counts {1, 2, 8}, and both
-// backends. The second half pins the representation half of the
-// counter-invariance contract: RINGDB_FORCE_ROW=1 (the legacy
-// per-tuple path) must produce identical results AND identical
-// semantic operation counts as the columnar default, per statement.
+// backends. The second half pins the backend half of the
+// counter-invariance contract: the interpreter and the compiled backend
+// must produce identical results AND identical semantic operation
+// counts on the same stream, per statement.
 
 #include <gtest/gtest.h>
 
@@ -39,26 +39,6 @@ using runtime::EngineOptions;
 
 Symbol S(const char* s) { return Symbol::Intern(s); }
 ExprPtr V(const char* name) { return Expr::Var(S(name)); }
-
-// Scoped environment override (tests run single-threaded).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    ::setenv(name, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 bool ExpectNative() {
   return std::getenv("RINGDB_EXPECT_NATIVE") != nullptr;
@@ -226,7 +206,7 @@ INSTANTIATE_TEST_SUITE_P(Shards, ColumnarWindowTest,
                            return "shards_" + std::to_string(info.param);
                          });
 
-// ---- Row-vs-columnar representation invariance -------------------------
+// ---- Interpreter-vs-compiled backend invariance -------------------------
 
 struct RunOutcome {
   ring::Gmr gmr;
@@ -257,12 +237,11 @@ std::optional<RunOutcome> RunOnce(const Query& q,
   return out;
 }
 
-// The semantic counters that the contract pins across representations
-// AND backends. Excluded: native_calls / interp_calls (dispatch split is
-// profile-guided, so timing-dependent) and arithmetic_ops (documented as
-// instrumentation of arithmetic actually performed — both the backend
-// and the representation legitimately change how much arithmetic the
-// same delta costs, e.g. per-row scale folds vs per-firing re-evaluation).
+// The semantic counters that the contract pins across backends.
+// Excluded: native_calls / interp_calls (dispatch split is profile-
+// guided, so timing-dependent) and arithmetic_ops (documented as
+// instrumentation of arithmetic actually performed — native statements
+// do not instrument rhs ops).
 void ExpectSameCounters(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.gmr, b.gmr);
   EXPECT_EQ(a.totals.updates, b.totals.updates);
@@ -284,26 +263,23 @@ void ExpectSameCounters(const RunOutcome& a, const RunOutcome& b) {
   }
 }
 
-TEST(RepresentationInvarianceTest, RowAndColumnarAgreeOnCounters) {
+TEST(BackendInvarianceTest, InterpreterAndCompiledAgreeOnCounters) {
   const Query q = RevenueQuery();
   const std::vector<Update> updates =
       RandomStream(q, 4096, /*seed=*/555, /*delete_fraction=*/0.25);
+  NaiveReevaluator oracle(q.catalog, q.group_vars, q.body);
+  for (const Update& u : updates) oracle.Load(u);
+  ASSERT_TRUE(oracle.Refresh().ok());
   for (size_t shards : {size_t{1}, size_t{2}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    std::optional<RunOutcome> interp_col, interp_row, native_col, native_row;
-    interp_col = RunOnce(q, updates, shards, Backend::kInterpret);
-    native_col = RunOnce(q, updates, shards, Backend::kCompile);
-    {
-      ScopedEnv force_row("RINGDB_FORCE_ROW", "1");
-      interp_row = RunOnce(q, updates, shards, Backend::kInterpret);
-      native_row = RunOnce(q, updates, shards, Backend::kCompile);
-    }
-    ASSERT_TRUE(interp_col && interp_row);
-    ExpectSameCounters(*interp_col, *interp_row);
-    if (native_col && native_row) {
-      ExpectSameCounters(*native_col, *native_row);
-      ExpectSameCounters(*interp_col, *native_col);
-    }
+    const std::optional<RunOutcome> interp =
+        RunOnce(q, updates, shards, Backend::kInterpret);
+    const std::optional<RunOutcome> native =
+        RunOnce(q, updates, shards, Backend::kCompile);
+    ASSERT_TRUE(interp);
+    EXPECT_EQ(interp->gmr, oracle.ResultGmr());
+    if (!native) GTEST_SKIP() << "compiled backend unavailable";
+    ExpectSameCounters(*interp, *native);
   }
 }
 

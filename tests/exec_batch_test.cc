@@ -65,17 +65,8 @@ TEST(BatchBuilderTest, CoalescesAndCancels) {
   EXPECT_EQ(delta.mults[0], Numeric(1));
   EXPECT_EQ(delta.columns[0][1], Value(2));
   EXPECT_EQ(delta.mults[1], Numeric(1));
-  // The RowView adapter reads the same tuples without materializing them.
-  EXPECT_EQ(delta.Row(0)[0], Value(1));
-  EXPECT_EQ(delta.Row(1)[0], Value(2));
-  EXPECT_EQ(delta.Row(1).multiplicity(), Numeric(1));
-  size_t rows_seen = 0;
-  for (exec::RelationDelta::RowView row : delta.Rows()) {
-    EXPECT_EQ(row.arity(), 2u);
-    EXPECT_EQ(row[1], Value(10 * (static_cast<int>(row.row()) + 1)));
-    ++rows_seen;
-  }
-  EXPECT_EQ(rows_seen, 2u);
+  EXPECT_EQ(delta.columns[1][0], Value(10));
+  EXPECT_EQ(delta.columns[1][1], Value(20));
 }
 
 TEST(BatchBuilderTest, FullCancellationYieldsEmptyBatch) {

@@ -81,23 +81,23 @@ TEST(GaugeTest, SetMaxIsMonotone) {
   EXPECT_EQ(gauge.Value(), 40);
 }
 
-TEST(HistogramTest, QuantilesAreBucketUpperBoundsExtremesAreExact) {
+TEST(HistogramTest, QuantilesAreClampedBucketBoundsExtremesAreExact) {
   SKIP_WITHOUT_METRICS();
   obs::Histogram hist;
-  // 100 values of 5: bucket 3 covers [4, 8), upper bound 7. Quantiles
-  // are bucket estimates; min/max/sum/mean are exact.
+  // 100 values of 5: bucket 3 covers [4, 8), upper bound 7, which the
+  // clamp to the exact max brings down to 5. Quantiles are bucket
+  // estimates; min/max/sum/mean are exact.
   for (int i = 0; i < 100; ++i) hist.Record(5);
   obs::HistogramSnapshot snap = hist.Snapshot();
   EXPECT_EQ(snap.count, 100u);
   EXPECT_EQ(snap.sum, 500u);
   EXPECT_EQ(snap.mean(), 5u);
-  EXPECT_EQ(snap.p50, 7u);
-  EXPECT_EQ(snap.p99, 7u);
+  EXPECT_EQ(snap.p50, 5u);
+  EXPECT_EQ(snap.p99, 5u);
   EXPECT_EQ(snap.min, 5u);
   EXPECT_EQ(snap.max, 5u);
-  // One outlier at 1000 moves max (exactly) and p99 (rank
-  // ceil(101*0.99) = 100 of 101 lands past the hundred fives) but not
-  // p50 or min.
+  // One outlier at 1000 moves max (exactly), which releases the clamp:
+  // p50 is the bucket bound again. min does not move.
   hist.Record(1000);
   snap = hist.Snapshot();
   EXPECT_EQ(snap.count, 101u);
@@ -114,6 +114,25 @@ TEST(HistogramTest, QuantilesAreBucketUpperBoundsExtremesAreExact) {
   EXPECT_EQ(hist.Snapshot().count, 0u);
   EXPECT_EQ(hist.Snapshot().min, 0u);
   EXPECT_EQ(hist.Snapshot().max, 0u);
+}
+
+TEST(HistogramTest, QuantilesLieWithinMinAndMax) {
+  SKIP_WITHOUT_METRICS();
+  obs::Histogram hist;
+  // 1,181,827 sits in bucket [2^20, 2^21), whose upper bound 2,097,151
+  // exceeds it; 3 sits in [2, 4), whose bound 3 is exact.
+  for (uint64_t v : {uint64_t{3}, uint64_t{900}, uint64_t{1000000},
+                     uint64_t{1181827}}) {
+    hist.Record(v);
+  }
+  const obs::HistogramSnapshot snap = hist.Snapshot();
+  EXPECT_EQ(snap.min, 3u);
+  EXPECT_EQ(snap.max, 1181827u);
+  EXPECT_LE(snap.min, snap.p50);
+  EXPECT_LE(snap.p50, snap.p90);
+  EXPECT_LE(snap.p90, snap.p99);
+  EXPECT_LE(snap.p99, snap.max);
+  EXPECT_EQ(snap.p99, 1181827u);
 }
 
 TEST(HistogramTest, MinMaxMergeExactlyAcrossThreads) {
