@@ -49,9 +49,6 @@ typedef struct RdbHostApi {
   void (*foreach_matching)(void* ctx, int32_t view_id, int32_t index_id,
                            const RdbVal* subkey, uint32_t n, RdbLoopFn fn,
                            void* env);
-  void (*emit)(void* ctx, const RdbVal* key, uint32_t n, RdbNum value);
-  void (*add)(void* ctx, int32_t view_id, const RdbVal* key, uint32_t n,
-              RdbNum delta);
   void (*fail)(void* ctx, const char* msg);
   void (*add_span)(void* ctx, int32_t view_id, const RdbVal* keys,
                    const RdbNum* deltas, uint32_t count, uint32_t arity);
@@ -134,7 +131,7 @@ static int rdb_le(RdbNum a, RdbNum b) {
 constexpr const char kTail[] = R"(
 /* Loader handshake: layout checksum over this translation unit's own
  * struct copies; must equal runtime::RdbAbiLayout() on the host side. */
-const int32_t rdb_abi_version = 3;
+const int32_t rdb_abi_version = 4;
 const uint64_t rdb_abi_layout =
     (uint64_t)sizeof(RdbVal) * 1000000u +
     (uint64_t)offsetof(RdbVal, kind) * 10000u +
@@ -208,11 +205,6 @@ std::string CValInit(const Value& v) {
   return "{0, 0.0, 0, 0, 0}";
 }
 
-// Emits the full function set of one lowered statement: a shared constant
-// pool and environment struct, then one {body, loop callbacks, entry}
-// chain per rhs variant. The structure mirrors the interpreter exactly —
-// RunLoops becomes the callback chain, EvalRhs becomes the straight-line
-// body — so results (including evaluation order over doubles) agree.
 // Static cost model for one rhs variant: a native statement pays an
 // ABI-crossing conversion per enumerated loop entry (key values
 // marshalled to RdbVal, callback through a function pointer), and buys
@@ -223,11 +215,11 @@ std::string CValInit(const Value& v) {
 // it natively LOSES ~7%. Loop-less statements (pure arithmetic, no
 // per-entry tax) and loops with real rhs work win.
 //
-// Since PR 6 the verdict is a *preference*, not an emission gate: every
-// emittable variant is compiled, and the runtime's profile-guided
-// selection (runtime/compiled_executor.h) starts from this preference,
-// then alternates backends during a warmup window and locks in whichever
-// one measures faster on the live workload.
+// The verdict is a *preference*, not an emission gate: every window
+// variant is compiled, and the runtime's window profiler
+// (runtime/compiled_executor.h) alternates it with the interpreter during
+// a warmup and locks whichever measures faster. Without a clock
+// (-DRINGDB_NO_METRICS) the preference locks directly.
 bool WorthNative(const lw::StmtProgram& sp, const lw::RhsProgram& rhs) {
   return sp.loops.empty() || rhs.ops.size() > 1;
 }
@@ -240,8 +232,9 @@ constexpr uint32_t kWindowChunk = 128;
 
 // True when the statement's rhs cannot read its own target view (no loop
 // drives it, no probe looks it up): emissions may then apply in place
-// (api->add) instead of through the host's deferred buffer, because no
-// later rhs evaluation of this statement run can observe them.
+// (api->add_span) across firing boundaries, because no rhs evaluation of
+// the window can observe them. Only such statements are emitted; self-
+// reading ones buffer per firing in the interpreter.
 bool CanEmitDirect(const lw::StmtProgram& sp) {
   for (const lw::LoopProgram& lp : sp.loops) {
     if (lp.view_id == sp.target_view) return false;
@@ -252,12 +245,16 @@ bool CanEmitDirect(const lw::StmtProgram& sp) {
   return true;
 }
 
+// Emits the window functions of one lowered statement: a shared constant
+// pool and environment struct, then one {body, loop callbacks, entry}
+// chain per rhs variant. The structure mirrors the interpreter —
+// RunLoops becomes the callback chain, EvalRhs becomes the straight-line
+// body — so results (including evaluation order over doubles) agree.
 class StmtEmitter {
  public:
   StmtEmitter(const lw::StmtProgram& sp, std::string base,
               std::ostringstream* out)
-      : sp_(sp), direct_(CanEmitDirect(sp)), base_(std::move(base)),
-        out_(*out) {}
+      : sp_(sp), base_(std::move(base)), out_(*out) {}
 
   void EmitShared() {
     out_ << "/* " << CComment(sp_.ToString()) << " */\n";
@@ -276,28 +273,10 @@ class StmtEmitter {
          << "  RdbVal f[" << std::max<int>(sp_.frame_size, 1) << "];\n"
          << "  RdbNum lv[" << std::max<size_t>(sp_.loops.size(), 1)
          << "];\n"
-         << "  RdbVal* kb;\n"  // window emission chunk (window variants
-         << "  RdbNum* vb;\n"  // only; per-firing entry points leave
-         << "  uint32_t nb;\n"  // these unset)
+         << "  RdbVal* kb;\n"  // window emission chunk
+         << "  RdbNum* vb;\n"
+         << "  uint32_t nb;\n"
          << "} " << base_ << "_env;\n";
-  }
-
-  // One rhs variant: `suffix` is "" (plain) or "_g" (grouped).
-  void EmitVariant(const std::string& suffix, const lw::RhsProgram& rhs) {
-    const std::string name = base_ + suffix;
-    EmitBody(name, rhs);
-    for (size_t i = sp_.loops.size(); i-- > 0;) {
-      EmitLoopCallback(name, i);
-    }
-    out_ << "void " << name
-         << "(const RdbHostApi* api, void* ctx, const RdbVal* p, "
-            "RdbNum scale) {\n"
-         << "  " << base_ << "_env e;\n"
-         << "  e.api = api;\n  e.ctx = ctx;\n  e.p = p;\n"
-         << "  e.sc = scale;\n"
-         << "  " << base_ << "_env* E = &e;\n";
-    EmitNext(name, 0, "  ");
-    out_ << "}\n\n";
   }
 
   // The columnar-window entry point `<base><wsuffix>` (RdbColStmtFn) for
@@ -306,17 +285,15 @@ class StmtEmitter {
   // inline the rhs over restrict-qualified column pointers — a straight-
   // line loop nest cc -O2 can vectorize. Statements with loops get their
   // own callback chain whose body pushes emissions into the window's
-  // chunk instead of one api->add per enumerated entry. Either way,
+  // chunk instead of one host call per enumerated entry. Either way,
   // scaled emissions collect in chunk buffers and flush through
   // api->add_span, which hashes whole chunks up front; deferring the
   // adds past firing boundaries is sound exactly because windows are
   // only emitted for direct-add statements — the rhs provably never
   // reads the target view, so no firing in the window can observe
-  // another's emissions early or late. (Emit-buffered self-loop
-  // statements need a host flush per firing, hence no window.)
+  // another's emissions early or late.
   void EmitWindowVariant(const std::string& wsuffix,
                          const lw::RhsProgram& rhs) {
-    RINGDB_CHECK(direct_);
     const std::string name = base_ + wsuffix;
     if (sp_.loops.empty()) {
       EmitWindowLoopless(name, rhs);
@@ -447,9 +424,8 @@ class StmtEmitter {
   }
 
   // Unrolls one postfix rhs into straight-line C at `indent`; returns the
-  // final value as a CV. Shared by the per-firing body functions and the
-  // loop-less columnar window (which runs it in column mode inside the
-  // row loop).
+  // final value as a CV. Shared by the loop-ful window body and the
+  // loop-less window (which runs it in column mode inside the row loop).
   CV EmitRhs(const lw::RhsProgram& rhs, const std::string& indent) {
     std::vector<CV> stk;
     auto temp = [&](const std::string& expr) {
@@ -598,10 +574,10 @@ class StmtEmitter {
          << "}\n\n";
   }
 
-  // The body of a loop-ful window variant: the same straight-line rhs as
-  // the per-firing body (same evaluation order, so results agree to the
-  // last double bit), but the emission folds the scale in and pushes
-  // into the env's window chunk — the entry point flushes the tail.
+  // The body of a loop-ful window variant: the straight-line rhs in the
+  // interpreter's evaluation order (so results agree to the last double
+  // bit); the emission folds the scale in and pushes into the env's
+  // window chunk — the entry point flushes the tail.
   void EmitWindowBody(const std::string& name, const lw::RhsProgram& rhs) {
     const uint32_t ks = sp_.target_key.size;
     out_ << "static void " << name << "_body(" << base_ << "_env* E) {\n";
@@ -627,33 +603,7 @@ class StmtEmitter {
          << "}\n";
   }
 
-  void EmitBody(const std::string& name, const lw::RhsProgram& rhs) {
-    out_ << "static void " << name << "_body(" << base_ << "_env* E) {\n";
-    tmp_ = 0;
-    const CV result = EmitRhs(rhs, "  ");
-    out_ << "  RdbNum v = " << AsNum(result) << ";\n"
-         << "  if (rdb_is_zero(v)) return;\n";
-    const std::string key =
-        sp_.target_key.size > 0 ? "tk" : "0";
-    if (sp_.target_key.size > 0) {
-      EmitKeyBuffer("tk", sp_.target_key, "  ");
-    }
-    if (direct_) {
-      // Rhs never reads the target: fold the scale in and apply now.
-      out_ << "  if (!rdb_is_one(E->sc)) v = rdb_mul(v, E->sc);\n"
-           << "  E->api->add(E->ctx, " << sp_.target_view << ", " << key
-           << ", " << sp_.target_key.size << ", v);\n";
-    } else {
-      // Self-loop statement: buffer; the host scales and applies after
-      // the loops finish, preserving pre-statement reads.
-      out_ << "  E->api->emit(E->ctx, " << key << ", "
-           << sp_.target_key.size << ", v);\n";
-    }
-    out_ << "}\n";
-  }
-
   const lw::StmtProgram& sp_;
-  const bool direct_;
   const std::string base_;
   std::ostringstream& out_;
   bool col_ = false;  // see Ref(): loop-less window emission mode
@@ -687,28 +637,27 @@ CodegenModule GenerateModule(const TriggerProgram& program) {
     for (size_t s = 0; s < stmts.size(); ++s) {
       const lw::StmtProgram& sp = stmts[s];
       CodegenStmt cs;
-      if (!Emittable(sp)) {
-        out << "/* stmt " << s << ": interpreter fallback (lazy domain): "
-            << CComment(sp.ToString()) << " */\n";
+      const bool lazy = !Emittable(sp);
+      if (lazy || !CanEmitDirect(sp)) {
+        out << "/* stmt " << s << ": interpreter fallback ("
+            << (lazy ? "lazy domain" : "reads its own target")
+            << "): " << CComment(sp.ToString()) << " */\n";
         mod.stmts[t].push_back(cs);
         continue;
       }
       cs.emitted = true;
-      cs.fn = "rdb_t" + std::to_string(t) + "_s" + std::to_string(s);
+      const std::string base =
+          "rdb_t" + std::to_string(t) + "_s" + std::to_string(s);
       cs.prefer_native = WorthNative(sp, sp.rhs);
       if (!cs.prefer_native) {
         out << "/* stmt " << s
             << ": static cost model prefers interpreter "
                "(profile-guided selection decides at run time) */\n";
       }
-      StmtEmitter emitter(sp, cs.fn, &out);
+      StmtEmitter emitter(sp, base, &out);
       emitter.EmitShared();
-      emitter.EmitVariant("", sp.rhs);
-      const bool direct = CanEmitDirect(sp);
-      if (direct) {
-        cs.win_fn = cs.fn + "_w";
-        emitter.EmitWindowVariant("_w", sp.rhs);
-      }
+      cs.win_fn = base + "_w";
+      emitter.EmitWindowVariant("_w", sp.rhs);
       if (sp.groupable) {
         cs.grouped_prefer_native = WorthNative(sp, sp.grouped_rhs);
         if (!cs.grouped_prefer_native) {
@@ -716,16 +665,11 @@ CodegenModule GenerateModule(const TriggerProgram& program) {
               << ": static cost model prefers interpreter */\n";
         }
         if (sp.foldable_params.empty()) {
-          // grouped_rhs shares the plain ops; reuse the function(s).
-          cs.grouped_fn = cs.fn;
+          // grouped_rhs shares the plain ops; reuse the window function.
           cs.grouped_win_fn = cs.win_fn;
         } else {
-          cs.grouped_fn = cs.fn + "_g";
-          emitter.EmitVariant("_g", sp.grouped_rhs);
-          if (direct) {
-            cs.grouped_win_fn = cs.fn + "_gw";
-            emitter.EmitWindowVariant("_gw", sp.grouped_rhs);
-          }
+          cs.grouped_win_fn = base + "_gw";
+          emitter.EmitWindowVariant("_gw", sp.grouped_rhs);
         }
       }
       ++mod.emitted_statements;

@@ -5,8 +5,10 @@
 // in runtime/compiled_executor.h).
 //
 // The emission scheme works from the lowered bytecode (compiler/lower.h),
-// not the TExpr trees: each StmtProgram becomes one exported function
-// whose body is the statement's loop nest and straight-line rhs —
+// not the TExpr trees: each emitted StmtProgram becomes one exported
+// columnar-window function per rhs variant (`rdb_t<T>_s<S>_w`, plus `_gw`
+// when the grouped rhs folds params) that runs a whole window of firings
+// in one call —
 //
 //  - frame slots become fields of a stack-allocated environment struct
 //    (locals, threaded through the loop callbacks);
@@ -15,24 +17,26 @@
 //    RdbNum temporaries (overflow-promoting arithmetic and kind-sensitive
 //    comparisons textually mirror util/numeric.h and the interpreter's
 //    EvalRhs — same results, no dispatch loop);
-//  - view probes, loop enumeration, and emissions call through the
-//    RdbHostApi function-pointer table (runtime/native_abi.h), so the
-//    module has no link-time dependencies and views stay host-owned
-//    (sharding, serving snapshots, and result reads are unaffected).
+//  - view probes and loop enumeration call through the RdbHostApi
+//    function-pointer table (runtime/native_abi.h), and scaled emissions
+//    collect in chunks flushed through its add_span, so the module has no
+//    link-time dependencies and views stay host-owned (sharding, serving
+//    snapshots, and result reads are unaffected).
 //
 // Not everything is emitted. Statements touching the lazy domain-
 // maintenance machinery (slice enumeration, lazy drivers or probes, lazy
-// targets) are skipped and keep the interpreter (CodegenStmt::emitted
-// false). Everything else is emitted, and a per-variant static cost
-// model records a *preference* instead: loops whose rhs is a single load
-// (the strength-reduced grouped join) are flagged prefer-interpreter —
-// the interpreter already runs those as bind-and-copy loops, and the ABI
-// marshalling per enumerated entry usually costs more than the saved
-// dispatch — but the runtime's profile-guided selection
-// (runtime/compiled_executor.h) measures both backends during warmup and
-// may overturn the static verdict on the live workload. A statement
-// whose grouped rhs folds nothing reuses the plain function
-// (grouped_fn == fn).
+// targets) and statements whose rhs reads their own target view (which
+// must buffer emissions per firing) are skipped and keep the interpreter
+// (CodegenStmt::emitted false); so do single tuples, which never form a
+// window. For the rest a per-variant static cost model records a
+// *preference*: loops whose rhs is a single load (the strength-reduced
+// grouped join) are flagged prefer-interpreter — the interpreter already
+// runs those as bind-and-copy loops, and the ABI marshalling per
+// enumerated entry usually costs more than the saved dispatch — but the
+// runtime's window profiler (runtime/compiled_executor.h) measures both
+// backends during warmup and may overturn the static verdict on the live
+// workload. A statement whose grouped rhs folds nothing reuses the plain
+// window (grouped_win_fn == win_fn).
 
 #ifndef RINGDB_COMPILER_CODEGEN_C_H_
 #define RINGDB_COMPILER_CODEGEN_C_H_
@@ -47,23 +51,17 @@ namespace compiler {
 
 // Emission record for one lowered statement.
 struct CodegenStmt {
-  bool emitted = false;    // false: interpreter fallback for this statement
-  std::string fn;          // exported symbol for the plain rhs
-  std::string grouped_fn;  // exported symbol for the grouped rhs (may == fn;
-                           // empty when the statement is not groupable)
-  // Columnar-window entry points (RdbColStmtFn, symbol `fn + "_w"` /
-  // `fn + "_gw"`): whole-window execution over mirrored column arrays.
-  // Emitted only for direct-add statements (emit-buffered self-loop
-  // statements need a host flush per firing); empty otherwise. A
-  // statement whose grouped rhs folds nothing shares the plain window
-  // (grouped_win_fn == win_fn), like grouped_fn == fn.
+  bool emitted = false;  // false: interpreter only for this statement
+  // Columnar-window entry points (RdbColStmtFn, `rdb_t<T>_s<S>_w` /
+  // `_gw`): whole-window execution over mirrored column arrays. Set iff
+  // emitted; grouped_win_fn is empty when the statement is not groupable
+  // and equals win_fn when its grouped rhs folds nothing.
   std::string win_fn;
   std::string grouped_win_fn;
   // Static cost-model verdict per variant (see WorthNative in the .cc):
-  // the runtime's profile-guided selection (runtime/compiled_executor.h)
-  // starts from this preference and overrides it with measured warmup
-  // timings. Before PR 6 a false verdict suppressed emission entirely;
-  // now every emittable variant is compiled and the verdict is advice.
+  // the runtime's window profiler (runtime/compiled_executor.h) locks it
+  // directly under -DRINGDB_NO_METRICS and otherwise overrides it with
+  // measured warmup timings.
   bool prefer_native = true;          // plain variant
   bool grouped_prefer_native = true;  // grouped variant
 };
@@ -72,7 +70,7 @@ struct CodegenModule {
   std::string source;  // the complete C translation unit
   // stmts[t][s] describes program.triggers[t].statements[s].
   std::vector<std::vector<CodegenStmt>> stmts;
-  size_t emitted_statements = 0;  // functions worth compiling
+  size_t emitted_statements = 0;  // statements with a window entry point
 };
 
 // Emits the module for `program`, lowering it first if program.lowered is

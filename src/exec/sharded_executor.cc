@@ -43,7 +43,7 @@ ShardedExecutor::ShardedExecutor(const compiler::TriggerProgram& program,
   // The native module (one emit + compile + dlopen) is shared by every
   // shard, like the lowered program; failure to build one is not an
   // error, it selects the interpreter (graceful fallback for hosts
-  // without a C compiler and for all-lazy programs).
+  // without a C compiler and for programs with nothing emittable).
   std::shared_ptr<const runtime::NativeModule> module;
   if (backend == runtime::Backend::kCompile) {
     auto built = runtime::NativeModule::Build(*prog);

@@ -75,27 +75,18 @@ inline Numeric ToNumeric(RdbNum n) {
 CompiledExecutor::CompiledExecutor(compiler::TriggerProgram program,
                                    std::shared_ptr<const NativeModule> module)
     : Executor(std::move(program)), module_(std::move(module)) {
-  const compiler::TriggerProgram& prog = this->program();
   for (size_t t = 0; t < lowered_->stmts.size(); ++t) {
-    const uint32_t arity = static_cast<uint32_t>(
-        prog.catalog.Arity(prog.triggers[t].relation));
     for (size_t s = 0; s < lowered_->stmts[t].size(); ++s) {
       const NativeModule::StmtFns& fns = module_->fns(t, s);
-      if (fns.plain == nullptr) continue;
+      if (fns.col_plain == nullptr) continue;
       Fns f;
-      f.plain = fns.plain;
-      f.grouped = fns.grouped;
-      f.col_plain = fns.col_plain;
-      f.col_grouped = fns.col_grouped;
-      f.param_count = arity;
+      f.plain = fns.col_plain;
+      f.grouped = fns.col_grouped;
 #ifdef RINGDB_NO_METRICS
-      // No clock to profile with: lock the emitter's static cost-model
-      // preference immediately (the pre-PR 6 behavior). The window
-      // variants inherit the same per-variant verdict.
-      f.plain_profile.mode = fns.prefer_native ? 1 : 0;
-      f.grouped_profile.mode = fns.grouped_prefer_native ? 1 : 0;
-      f.plain_win_profile.mode = fns.prefer_native ? 1 : 0;
-      f.grouped_win_profile.mode = fns.grouped_prefer_native ? 1 : 0;
+      // No clock to profile with: the first window locks the emitter's
+      // static cost-model preference.
+      f.plain_profile.start_mode = fns.prefer_native ? 1 : 0;
+      f.grouped_profile.start_mode = fns.grouped_prefer_native ? 1 : 0;
 #endif
       fns_.emplace(&lowered_->stmts[t][s], f);
     }
@@ -109,22 +100,15 @@ void CompiledExecutor::CollectDispatch(std::vector<StmtDispatch>* out) const {
   out->assign(lowered_->num_statements, StmtDispatch{});
   for (const auto& [sp, f] : fns_) {
     StmtDispatch& d = (*out)[sp->stmt_id];
-    d.native_available = f.plain != nullptr;
+    d.native_available = true;
     d.grouped_available = f.grouped != nullptr;
-    d.window_available = f.col_plain != nullptr;
-    d.plain_mode = f.plain_profile.mode;
-    d.grouped_mode = f.grouped != nullptr ? f.grouped_profile.mode : 0;
-    d.win_plain_mode = f.plain_win_profile.mode;
-    d.win_grouped_mode =
-        f.col_grouped != nullptr ? f.grouped_win_profile.mode : 0;
-    d.profile_native_ns = f.plain_profile.native_ns +
-                          f.grouped_profile.native_ns +
-                          f.plain_win_profile.native_ns +
-                          f.grouped_win_profile.native_ns;
-    d.profile_interp_ns = f.plain_profile.interp_ns +
-                          f.grouped_profile.interp_ns +
-                          f.plain_win_profile.interp_ns +
-                          f.grouped_win_profile.interp_ns;
+    d.window_available = true;
+    d.win_plain_mode = f.plain_profile.mode;
+    d.win_grouped_mode = f.grouped != nullptr ? f.grouped_profile.mode : 0;
+    d.profile_native_ns =
+        f.plain_profile.native_ns + f.grouped_profile.native_ns;
+    d.profile_interp_ns =
+        f.plain_profile.interp_ns + f.grouped_profile.interp_ns;
   }
 }
 
@@ -132,13 +116,9 @@ uint32_t CompiledExecutor::window_dispatch_mode() const {
   bool native = false;
   bool profiling = false;
   for (const auto& [sp, f] : fns_) {
-    if (f.col_plain != nullptr) {
-      native = native || f.plain_win_profile.mode == 1;
-      profiling = profiling || f.plain_win_profile.mode == 2;
-    }
-    if (f.col_grouped != nullptr) {
-      native = native || f.grouped_win_profile.mode == 1;
-      profiling = profiling || f.grouped_win_profile.mode == 2;
+    for (const WindowProfile* prof : {&f.plain_profile, &f.grouped_profile}) {
+      native = native || prof->mode == 1;
+      profiling = profiling || prof->mode == 2;
     }
   }
   if (native) return 2;
@@ -146,65 +126,13 @@ uint32_t CompiledExecutor::window_dispatch_mode() const {
   return Executor::window_dispatch_mode();
 }
 
-void CompiledExecutor::RunStatement(const lower::StmtProgram& sp,
-                                    const Value* params, Numeric scale,
-                                    const lower::RhsProgram& rhs) {
-  const auto it = fns_.find(&sp);
-  if (it == fns_.end()) {
-    Executor::RunStatement(sp, params, scale, rhs);
-    return;
-  }
-  Fns& f = it->second;
-  // The grouped rhs is a distinct RhsProgram object even when it shares
-  // the plain ops, so the address identifies the variant.
-  const bool is_grouped = (&rhs != &sp.rhs);
-  const RdbStmtFn fn = is_grouped ? f.grouped : f.plain;
-  if (fn == nullptr) {
-    Executor::RunStatement(sp, params, scale, rhs);
-    return;
-  }
-  VariantProfile& prof = is_grouped ? f.grouped_profile : f.plain_profile;
-  switch (prof.mode) {
-    case 1:  // locked native
-      RunNative(fn, f.param_count, sp, params, scale);
-      return;
-    case 0:  // locked interpreter
-      Executor::RunStatement(sp, params, scale, rhs);
-      return;
-    default:
-      break;  // profiling
-  }
-  // Warmup: alternate backends, timing each run, until both have
-  // kWarmupRuns samples; then lock whichever measured cheaper per run
-  // (cross-multiplied so there is no division and ties go native).
-  const bool run_native = prof.native_runs <= prof.interp_runs;
-  const uint64_t t0 = obs::NowNs();
-  if (run_native) {
-    RunNative(fn, f.param_count, sp, params, scale);
-  } else {
-    Executor::RunStatement(sp, params, scale, rhs);
-  }
-  const uint64_t dt = obs::NowNs() - t0;
-  if (run_native) {
-    prof.native_ns += dt;
-    ++prof.native_runs;
-  } else {
-    prof.interp_ns += dt;
-    ++prof.interp_runs;
-  }
-  if (prof.native_runs >= kWarmupRuns && prof.interp_runs >= kWarmupRuns) {
-    prof.mode = (prof.native_ns * prof.interp_runs <=
-                 prof.interp_ns * prof.native_runs)
-                    ? 1
-                    : 0;
-  }
-}
-
 const RdbHostApi& CompiledExecutor::HostApi() {
   static const RdbHostApi kApi = {
-      RDB_ABI_VERSION, &CompiledExecutor::Probe, &CompiledExecutor::Foreach,
-      &CompiledExecutor::ForeachMatching, &CompiledExecutor::Emit,
-      &CompiledExecutor::Add, &CompiledExecutor::Fail,
+      RDB_ABI_VERSION,
+      &CompiledExecutor::Probe,
+      &CompiledExecutor::Foreach,
+      &CompiledExecutor::ForeachMatching,
+      &CompiledExecutor::Fail,
       &CompiledExecutor::AddSpan,
   };
   return kApi;
@@ -215,30 +143,31 @@ void CompiledExecutor::RunStatementWindow(const lower::StmtProgram& sp,
                                           const lower::RhsProgram& rhs) {
   const auto it = fns_.find(&sp);
   Fns* f = it != fns_.end() ? &it->second : nullptr;
+  // The grouped rhs is a distinct RhsProgram object even when it shares
+  // the plain ops, so the address identifies the variant.
   const bool is_grouped = (&rhs != &sp.rhs);
   const RdbColStmtFn fn =
-      f != nullptr ? (is_grouped ? f->col_grouped : f->col_plain) : nullptr;
+      f != nullptr ? (is_grouped ? f->grouped : f->plain) : nullptr;
   if (fn == nullptr) {
-    // No window entry point (interpreter-only or emit-buffered
-    // statement): the base gather loop dispatches per firing through the
-    // profiled RunStatement seam above.
+    // Not emitted (lazy domain or self-reading): the base gather loop
+    // interprets each firing.
     Executor::RunStatementWindow(sp, win, rhs);
     return;
   }
-  WindowProfile& prof =
-      is_grouped ? f->grouped_win_profile : f->plain_win_profile;
+  WindowProfile& prof = is_grouped ? f->grouped_profile : f->plain_profile;
+  if (prof.mode == 3) prof.mode = prof.start_mode;  // first window
   switch (prof.mode) {
     case 1:  // locked native window
       RunNativeWindow(fn, sp, win);
       return;
-    case 0:  // locked per-firing path
+    case 0:  // locked interpreter
       Executor::RunStatementWindow(sp, win, rhs);
       return;
     default:
       break;  // profiling
   }
   // Warmup: alternate whole windows between the native window call and
-  // the gathered per-firing path, then lock whichever measured cheaper
+  // the interpreter's gather loop, then lock whichever measured cheaper
   // *per row* — windows vary in width, so the comparison cross-multiplies
   // ns by the other side's row units. Ties go native.
   const bool run_native = prof.native_runs <= prof.interp_runs;
@@ -308,26 +237,9 @@ void CompiledExecutor::RunNativeWindow(RdbColStmtFn fn,
   w.arity = win.arity;
   depth_ = 0;
   // Windows exist only for direct-add statements: every emission lands
-  // immediately through add/add_span, so there is nothing to flush.
+  // through add_span before the call returns, so there is nothing to
+  // flush.
   fn(&HostApi(), this, &w);
-}
-
-void CompiledExecutor::RunNative(RdbStmtFn fn, uint32_t param_count,
-                                 const lower::StmtProgram& sp,
-                                 const Value* params, Numeric scale) {
-  RINGDB_OBS(cur_counters_ = &stmt_counters_[sp.stmt_id]);
-  RINGDB_OBS(++cur_counters_->native_calls);
-  emission_keys_.clear();
-  emission_values_.clear();
-  param_scratch_.resize(param_count);
-  for (uint32_t i = 0; i < param_count; ++i) {
-    param_scratch_[i] = ToRdbVal(params[i]);
-  }
-  depth_ = 0;
-  fn(&HostApi(), this, param_scratch_.data(), ToRdbNum(scale));
-  // Direct-add statements already applied everything (empty buffers);
-  // self-loop statements flush here, exactly like the interpreter.
-  FlushEmissions(sp, scale);
 }
 
 RdbNum CompiledExecutor::Probe(void* ctx, int32_t view_id, const RdbVal* key,
@@ -375,36 +287,13 @@ void CompiledExecutor::ForeachMatching(void* ctx, int32_t view_id,
   --self->depth_;
 }
 
-void CompiledExecutor::Emit(void* ctx, const RdbVal* key, uint32_t n,
-                            RdbNum value) {
-  auto* self = static_cast<CompiledExecutor*>(ctx);
-  RINGDB_OBS(++self->cur_counters_->emissions);
-  for (uint32_t i = 0; i < n; ++i) {
-    self->emission_keys_.push_back(ToValue(key[i]));
-  }
-  self->emission_values_.push_back(ToNumeric(value));
-}
-
-void CompiledExecutor::Add(void* ctx, int32_t view_id, const RdbVal* key,
-                           uint32_t n, RdbNum delta) {
-  auto* self = static_cast<CompiledExecutor*>(ctx);
-  RINGDB_OBS(++self->cur_counters_->emissions);
-  Key& k = self->add_scratch_;
-  k.resize(n);
-  for (uint32_t i = 0; i < n; ++i) k[i] = ToValue(key[i]);
-  self->views_[static_cast<size_t>(view_id)].Add(k.data(), n,
-                                                 ToNumeric(delta));
-  ++self->stats_.entries_touched;
-  ++self->stats_.arithmetic_ops;  // the += itself
-}
-
 void CompiledExecutor::AddSpan(void* ctx, int32_t view_id, const RdbVal* keys,
                                const RdbNum* deltas, uint32_t count,
                                uint32_t arity) {
   auto* self = static_cast<CompiledExecutor*>(ctx);
   RINGDB_OBS(self->cur_counters_->emissions += count);
-  // One Add's worth of accounting per spanned key, exactly like the
-  // element-wise Add trampoline (the chunking must not change counters).
+  // One emission's worth of accounting per spanned key, exactly like the
+  // interpreter's FlushEmissions (the chunking must not change counters).
   std::vector<Value>& kb = self->span_keys_scratch_;
   std::vector<Numeric>& vb = self->span_deltas_scratch_;
   const size_t nk = static_cast<size_t>(count) * arity;
@@ -420,9 +309,8 @@ void CompiledExecutor::AddSpan(void* ctx, int32_t view_id, const RdbVal* keys,
 
 size_t CompiledExecutor::ApproxBytes() const {
   size_t bytes = Executor::ApproxBytes();
-  // Native conversion scratch: param/entry marshalling plus the columnar
+  // Native conversion scratch: entry marshalling plus the columnar
   // window buffers (mirror columns, scale column, span buffers).
-  bytes += param_scratch_.capacity() * sizeof(RdbVal);
   for (const std::vector<RdbVal>& v : entry_scratch_) {
     bytes += v.capacity() * sizeof(RdbVal);
   }

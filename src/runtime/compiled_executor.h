@@ -1,40 +1,47 @@
-// The compiled execution backend: an Executor whose statements run as
-// dlopen'd native code (compiler/codegen_c.h emission, runtime/
-// native_module.h compilation + caching) instead of bytecode dispatch.
+// The compiled execution backend: an Executor whose columnar statement
+// windows run as dlopen'd native code (compiler/codegen_c.h emission,
+// runtime/native_module.h compilation + caching) instead of bytecode
+// dispatch.
 //
 // CompiledExecutor is plug-compatible with the interpreter — it overrides
-// exactly one seam, RunStatement, and inherits everything else: trigger
-// dispatch, delta batching, grouped statement-major execution, lazy
-// domain maintenance, stats, and every read path (root views, cross-shard
-// result sums, serving snapshots). A native statement executes as
+// exactly one seam, RunStatementWindow, and inherits everything else:
+// trigger dispatch, delta batching, grouping, lazy domain maintenance,
+// stats, and every read path (root views, cross-shard result sums,
+// serving snapshots). Each emitted statement has one native entry point
+// per rhs variant, and it takes a whole window:
 //
-//   host RunStatement            native statement function
-//   ------------------           ----------------------------------
-//   convert params to RdbVal --> loop nest via api->foreach[_matching]
-//   (per-shard scratch)          straight-line rhs over RdbNum locals
-//                                api->emit into the host buffers
-//   apply buffered emissions <-- return
-//   (scaled, stats counted)
+//   host RunStatementWindow      native window function
+//   -----------------------      ----------------------------------
+//   mirror delta columns to  --> per row: loop nest via api->foreach
+//   RdbVal (once per delta),     [_matching], straight-line rhs over
+//   convert the row scales       RdbNum locals, scaled emission into
+//                                a local chunk; api->add_span per chunk
+//   return                   <-- return
 //
-// so native code never mutates a view: probes and enumeration see frozen
-// state for the duration of the statement (which is also what keeps the
-// borrowed string pointers in RdbVal valid).
+// Native code only ever mutates the statement's target view, which its
+// rhs never reads (windows are emitted only for such statements), so
+// probes and enumeration see frozen state for the whole call — which is
+// also what keeps the borrowed string pointers in RdbVal valid.
 //
-// Backend choice is per statement VARIANT (plain rhs vs grouped rhs) and
-// profile-guided: the emitter compiles every emittable variant and
-// records its static cost-model preference, then during a short warmup
-// this executor alternates native and interpreted execution, timing both
-// with obs::NowNs, and locks whichever measured cheaper on the live
-// workload (cross-multiplied ns-per-run comparison, no division). Under
-// -DRINGDB_NO_METRICS there is no clock, so the static preference locks
-// immediately. Engine::Stats exports the decision per statement
-// (StmtDispatch).
+// Everything that is not a window runs the interpreter: single tuples
+// (Engine::Apply), single-row groups, nonlinear triggers, and statements
+// the emitter skips (lazy domain maintenance, rhs reading its own target)
+// all take the base class's per-firing path.
+//
+// Backend choice is per window variant (plain rhs vs grouped rhs) and
+// profile-guided: a variant reads "unused" until its first window, then
+// alternates native and interpreted (gathered) windows during a short
+// warmup, timing both with obs::NowNs, and locks whichever measured
+// cheaper per row on the live workload (cross-multiplied, no division).
+// Under -DRINGDB_NO_METRICS there is no clock, so the first window locks
+// the emitter's static cost-model preference. Engine::Stats exports the
+// decision per statement (StmtDispatch).
 //
 // Fallback is per statement and per module: statements the emitter skips
-// (lazy domain maintenance) simply keep their interpreter implementation,
-// and when no module could be built at all (no host compiler — CI
-// sandboxes, locked-down deploys) ShardedExecutor constructs plain
-// Executors instead, recording why in native_status().
+// keep their interpreter implementation, and when no module could be
+// built at all (no host compiler — CI sandboxes, locked-down deploys)
+// ShardedExecutor constructs plain Executors instead, recording why in
+// native_status().
 
 #ifndef RINGDB_RUNTIME_COMPILED_EXECUTOR_H_
 #define RINGDB_RUNTIME_COMPILED_EXECUTOR_H_
@@ -56,8 +63,9 @@ namespace runtime {
 // Which statement-execution backend an engine uses (EngineOptions).
 enum class Backend {
   kInterpret,  // register-based bytecode interpreter (always available)
-  kCompile,    // emitted C compiled at runtime; falls back to the
-               // interpreter per statement (lazy domain) and wholesale
+  kCompile,    // emitted C compiled at runtime for columnar windows;
+               // everything else interprets, per statement (lazy domain,
+               // self-reading statements, single tuples) and wholesale
                // when no host compiler is available
 };
 
@@ -75,51 +83,36 @@ class CompiledExecutor : public Executor {
   void CollectDispatch(std::vector<StmtDispatch>* out) const override;
 
   // Executor::ApproxBytes plus the native conversion scratch this backend
-  // owns (mirror columns, span buffers, param/entry scratch).
+  // owns (mirror columns, span buffers, entry scratch).
   size_t ApproxBytes() const override;
 
   // Trace-span mode summary over the window profiles: 2 (native) when
   // any variant locked a native columnar entry point, 3 while any is
-  // still profiling, else the interpreter's own answer.
+  // still profiling (unused variants do not count), else the
+  // interpreter's own answer.
   uint32_t window_dispatch_mode() const override;
 
  protected:
-  void RunStatement(const compiler::lower::StmtProgram& sp,
-                    const Value* params, Numeric scale,
-                    const compiler::lower::RhsProgram& rhs) override;
   // Whole-window dispatch into the columnar native entry points
-  // (RdbColStmtFn). Profiled separately from the per-firing variants: the
-  // window path competes against the base gather loop (which itself lands
-  // in the profiled RunStatement above), so the measured alternative is
-  // "best per-firing backend", not just the interpreter.
+  // (RdbColStmtFn), profiled against the base gather loop, which fires
+  // each row through the interpreter.
   void RunStatementWindow(const compiler::lower::StmtProgram& sp,
                           const ColWindow& win,
                           const compiler::lower::RhsProgram& rhs) override;
 
  private:
-  // Profile-guided selection state for one rhs variant. Mode values
-  // match StmtDispatch: 0 = interpreter, 1 = native, 2 = still profiling
-  // (warmup alternation). Single-writer per shard, like everything else
-  // in the executor.
-  struct VariantProfile {
-    uint8_t mode = 2;
-    uint16_t native_runs = 0;
-    uint16_t interp_runs = 0;
-    uint64_t native_ns = 0;
-    uint64_t interp_ns = 0;
-  };
-  // Warmup runs per backend before a variant's mode locks. Long enough
-  // to amortize first-touch effects (branch training, view growth during
-  // early batches), short enough that profiling cost is invisible next
-  // to steady-state throughput.
-  static constexpr uint16_t kWarmupRuns = 12;
-
-  // Like VariantProfile, but for whole-window runs, whose cost scales
-  // with the window width: the lock normalizes by row units (ns x units
-  // cross-multiplication), so a wide native window and a narrow gathered
-  // one still compare per row.
+  // Profile-guided selection state for one window variant. Mode values
+  // match StmtDispatch: 3 = unused (no window yet), 2 = profiling
+  // (warmup alternation), then 1 = native or 0 = interpreter. Window cost
+  // scales with the window width, so the lock normalizes by row units
+  // (ns x units cross-multiplication): a wide native window and a narrow
+  // gathered one still compare per row. Single-writer per shard, like
+  // everything else in the executor.
   struct WindowProfile {
-    uint8_t mode = 2;
+    uint8_t mode = 3;
+    // The mode the first window moves to: 2, or without a clock
+    // (-DRINGDB_NO_METRICS) the static cost-model preference.
+    uint8_t start_mode = 2;
     uint16_t native_runs = 0;
     uint16_t interp_runs = 0;
     uint64_t native_ns = 0;
@@ -127,26 +120,19 @@ class CompiledExecutor : public Executor {
     uint64_t native_units = 0;
     uint64_t interp_units = 0;
   };
+  // Warmup windows per backend before a variant's mode locks. Long
+  // enough to amortize first-touch effects (branch training, view growth
+  // during early batches), short enough that profiling cost is invisible
+  // next to steady-state throughput.
+  static constexpr uint16_t kWarmupRuns = 12;
 
   struct Fns {
-    RdbStmtFn plain = nullptr;
-    RdbStmtFn grouped = nullptr;
-    // Columnar-window entry points; null for emit-buffered statements
-    // (windows are emitted only for direct-add statements).
-    RdbColStmtFn col_plain = nullptr;
-    RdbColStmtFn col_grouped = nullptr;
-    uint32_t param_count = 0;  // trigger relation arity
-    VariantProfile plain_profile;
-    VariantProfile grouped_profile;
-    WindowProfile plain_win_profile;
-    WindowProfile grouped_win_profile;
+    RdbColStmtFn plain = nullptr;
+    RdbColStmtFn grouped = nullptr;  // null when not groupable
+    WindowProfile plain_profile;
+    WindowProfile grouped_profile;
   };
 
-  // Dispatches into `fn` through the RdbHostApi trampolines (the native
-  // half of RunStatement; the interpreted half is the base class).
-  void RunNative(RdbStmtFn fn, uint32_t param_count,
-                 const compiler::lower::StmtProgram& sp, const Value* params,
-                 Numeric scale);
   // The native half of RunStatementWindow: mirrors the window's columns
   // into cached RdbVal arrays (once per delta epoch, shared by every
   // statement window cut from it), converts the scales, and runs the
@@ -165,9 +151,6 @@ class CompiledExecutor : public Executor {
   static void ForeachMatching(void* ctx, int32_t view_id, int32_t index_id,
                               const RdbVal* subkey, uint32_t n,
                               RdbLoopFn fn, void* env);
-  static void Emit(void* ctx, const RdbVal* key, uint32_t n, RdbNum value);
-  static void Add(void* ctx, int32_t view_id, const RdbVal* key,
-                  uint32_t n, RdbNum delta);
   static void AddSpan(void* ctx, int32_t view_id, const RdbVal* keys,
                       const RdbNum* deltas, uint32_t count, uint32_t arity);
   static void Fail(void* ctx, const char* msg);
@@ -178,14 +161,12 @@ class CompiledExecutor : public Executor {
   // stable keys).
   std::unordered_map<const compiler::lower::StmtProgram*, Fns> fns_;
 
-  // Per-call conversion scratch (single-writer executor, like the
-  // interpreter's frames): params once per statement, enumerated keys and
-  // probe subkeys per loop depth.
-  std::vector<RdbVal> param_scratch_;
+  // Trampoline conversion scratch (single-writer executor, like the
+  // interpreter's frames): enumerated keys and probe subkeys per loop
+  // depth.
   std::vector<std::vector<RdbVal>> entry_scratch_;  // per loop depth
   std::vector<Key> subkey_scratch_;                 // per loop depth
   Key probe_scratch_;
-  Key add_scratch_;
   size_t depth_ = 0;
 
   // Columnar-window conversion scratch. Mirror columns are keyed by the

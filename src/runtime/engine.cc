@@ -130,6 +130,8 @@ const char* ModeName(uint8_t mode) {
       return "native";
     case 2:
       return "profiling";
+    case 3:
+      return "unused";
     default:
       return "interp";
   }
@@ -200,15 +202,11 @@ std::string Engine::StatsText() const {
   for (const StmtStats& row : st.statements) {
     const Executor::StmtCounters& c = row.counters;
     std::string mode = ModeName(row.dispatch.plain_mode);
-    if (row.dispatch.grouped_available &&
-        row.dispatch.grouped_mode != row.dispatch.plain_mode) {
-      mode += "/";
-      mode += ModeName(row.dispatch.grouped_mode);
-    }
     if (row.dispatch.window_available) {
       mode += " w:";
       mode += ModeName(row.dispatch.win_plain_mode);
-      if (row.dispatch.win_grouped_mode != row.dispatch.win_plain_mode) {
+      if (row.dispatch.grouped_available &&
+          row.dispatch.win_grouped_mode != row.dispatch.win_plain_mode) {
         mode += "/";
         mode += ModeName(row.dispatch.win_grouped_mode);
       }

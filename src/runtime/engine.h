@@ -156,8 +156,9 @@ class Engine {
   const exec::PartitionScheme& partition_scheme() const {
     return sharded_->scheme();
   }
-  // True when backend == kCompile actually engaged: statements dispatch
-  // into the dlopen'd native module instead of the bytecode interpreter.
+  // True when backend == kCompile actually engaged: columnar statement
+  // windows may dispatch into the dlopen'd native module (single tuples
+  // always run the bytecode interpreter).
   bool native_enabled() const { return sharded_->native_enabled(); }
   // Why the compiled backend is off (Ok when on or never requested) —
   // e.g. "no host C compiler found" in sandboxed CI.

@@ -292,9 +292,10 @@ void Executor::RunLinearTriggerColumns(size_t trigger_idx,
 void Executor::RunStatementWindow(const lower::StmtProgram& sp,
                                   const ColWindow& win,
                                   const lower::RhsProgram& rhs) {
-  // Base implementation: gather each row's params and run the per-firing
-  // seam, so an interpreter-only executor (and any subclass that lacks a
-  // native window variant) executes windows row by row with unchanged
+  // Base implementation: gather each row's params and interpret the
+  // firing, so an interpreter-only executor (and the compiled backend for
+  // statements without a native window, or while its profiler runs the
+  // interpreted side) executes windows row by row with unchanged
   // semantics and counters.
   param_gather_.resize(win.arity);
   for (size_t i = 0; i < win.n; ++i) {

@@ -16,10 +16,12 @@
 // (Theorem 7.1 / the NC0 property) empirically; the lowered programs
 // preserve the tree walker's operation counts exactly.
 //
-// Statement execution is a virtual seam: the compiled backend
-// (runtime/compiled_executor.h) subclasses Executor and overrides
-// RunStatement to dispatch into dlopen'd native code, inheriting batching,
-// grouping, lazy maintenance, and all read paths unchanged.
+// Whole-window statement execution is a virtual seam: the compiled
+// backend (runtime/compiled_executor.h) subclasses Executor and overrides
+// RunStatementWindow to dispatch columnar windows into dlopen'd native
+// code, inheriting batching, grouping, lazy maintenance, the per-firing
+// path (single tuples, single-row groups, nonlinear triggers) and all
+// read paths unchanged.
 
 #ifndef RINGDB_RUNTIME_INTERPRETER_H_
 #define RINGDB_RUNTIME_INTERPRETER_H_
@@ -51,7 +53,7 @@ class Executor {
                                     // Instrumentation, not a contract: it
                                     // counts arithmetic actually performed,
                                     // which differs across backends (native
-                                    // statements do not instrument rhs ops)
+                                    // windows do not instrument rhs ops)
                                     // and across representations (the
                                     // columnar window path folds per-row
                                     // scales where the per-tuple path
@@ -84,17 +86,22 @@ class Executor {
   };
 
   // Per-statement backend dispatch report for stats export; the compiled
-  // backend overrides with its profile-guided decisions.
+  // backend overrides with its profile-guided window decisions. Modes:
+  // 0 = interpreter, 1 = native, 2 = profiling (warmup alternation still
+  // measuring), 3 = unused (no window of this variant has run yet).
   struct StmtDispatch {
-    bool native_available = false;    // plain variant has a native fn
-    bool grouped_available = false;   // grouped variant has a native fn
+    bool native_available = false;    // the statement has native code
+    bool grouped_available = false;   // grouped rhs has a native window
     bool window_available = false;    // columnar-window entry point exists
-    // Locked execution mode: 0 = interpreter, 1 = native, 2 = profiling
-    // (warmup alternation still measuring).
+                                      // (native code exists only as
+                                      // windows, so == native_available)
+    // Per-firing execution (single tuples, single-row groups, gathered
+    // windows): always 0, the interpreter.
     uint8_t plain_mode = 0;
     uint8_t grouped_mode = 0;
-    // Same, for the whole-window dispatch (native columnar call vs the
-    // gathered per-firing path); meaningless unless window_available.
+    // Whole-window dispatch (native columnar call vs the interpreter's
+    // gather loop); meaningless unless window_available, and
+    // win_grouped_mode unless grouped_available.
     uint8_t win_plain_mode = 0;
     uint8_t win_grouped_mode = 0;
     uint64_t profile_native_ns = 0;   // warmup wall time, native runs
@@ -208,47 +215,27 @@ class Executor {
   virtual size_t ApproxBytes() const;
 
  protected:
-  // Runs one statement with the given rhs program (sp.rhs normally,
-  // sp.grouped_rhs for grouped batch execution); emissions scale by
-  // `scale`. This is the backend seam: the compiled executor overrides it
-  // to dispatch into native code (falling back to this implementation for
-  // statements that were not emitted).
-  virtual void RunStatement(const compiler::lower::StmtProgram& sp,
-                            const Value* params, Numeric scale,
-                            const compiler::lower::RhsProgram& rhs);
   // Runs one statement over a whole columnar window. The base
   // implementation gathers each row's params into a scratch buffer and
-  // delegates to the virtual RunStatement, so subclasses that only
-  // override the per-firing seam still execute windows correctly; the
-  // compiled backend overrides this to dispatch whole windows into the
-  // native columnar entry points. Callers have already accounted
-  // statements_run/invocations for all n firings.
+  // fires it through the interpreter (RunStatement); the compiled backend
+  // overrides this to dispatch whole windows into the native columnar
+  // entry points. Callers have already accounted statements_run/
+  // invocations for all n firings.
   virtual void RunStatementWindow(const compiler::lower::StmtProgram& sp,
                                   const ColWindow& win,
                                   const compiler::lower::RhsProgram& rhs);
-  // Applies the buffered emissions of the statement just run, scaled by
-  // `scale` (shared epilogue of the interpreted and native paths).
-  void FlushEmissions(const compiler::lower::StmtProgram& sp, Numeric scale);
 
-  // Shared with the compiled backend: the immutable lowered program, the
-  // view stores its trampolines probe/enumerate/emit against, and the
-  // per-statement emission buffers its native calls fill.
+  // Shared with the compiled backend: the immutable lowered program and
+  // the view stores its trampolines probe/enumerate/add against.
   std::shared_ptr<const compiler::lower::LoweredProgram> lowered_;
   std::vector<ViewTable> views_;
-  // Deferred emissions of the running statement: target keys flattened
-  // into one Value buffer (arity-sized chunks) plus parallel deltas.
-  // Buffered because a statement may loop over its own target view
-  // (domain maintenance), and mutating a view during enumeration would
-  // change what later iterations observe.
-  std::vector<Value> emission_keys_;
-  std::vector<Numeric> emission_values_;
   Stats stats_;
   // stmt_counters_[StmtProgram::stmt_id]; sized at construction (at
   // least one element so cur_counters_ always points at valid storage).
   std::vector<StmtCounters> stmt_counters_;
-  // The running statement's counter row, set on RunStatement entry; the
-  // compiled backend's trampolines attribute loop/probe/emission events
-  // through it.
+  // The running statement's counter row, set on statement entry (here
+  // and in the compiled backend's native window call, whose trampolines
+  // attribute loop/probe/emission events through it).
   StmtCounters* cur_counters_ = nullptr;
 
  private:
@@ -273,6 +260,17 @@ class Executor {
                        (sign == ring::Update::Sign::kDelete ? 1 : 0);
     return idx < trigger_lookup_.size() ? trigger_lookup_[idx] : -1;
   }
+
+  // Runs one statement with the given rhs program (sp.rhs normally,
+  // sp.grouped_rhs for grouped batch execution) through the bytecode
+  // interpreter; emissions scale by `scale`. Every firing that is not
+  // part of a native window lands here.
+  void RunStatement(const compiler::lower::StmtProgram& sp,
+                    const Value* params, Numeric scale,
+                    const compiler::lower::RhsProgram& rhs);
+  // Applies the buffered emissions of the statement just run, scaled by
+  // `scale`.
+  void FlushEmissions(const compiler::lower::StmtProgram& sp, Numeric scale);
 
   // ApplyDelta after relation/arity validation (batch entries are
   // validated once per batch, not per entry).
@@ -355,6 +353,13 @@ class Executor {
   std::vector<Reg> stack_;            // rhs register stack
   std::vector<Numeric> loop_values_;  // per-depth driver-entry value
   std::vector<Key> loop_key_scratch_;  // per-depth index probe subkeys
+  // Deferred emissions of the running statement: target keys flattened
+  // into one Value buffer (arity-sized chunks) plus parallel deltas.
+  // Buffered because a statement may loop over its own target view
+  // (domain maintenance), and mutating a view during enumeration would
+  // change what later iterations observe.
+  std::vector<Value> emission_keys_;
+  std::vector<Numeric> emission_values_;
   Key probe_scratch_;                  // rhs view-lookup keys
   Key slice_scratch_;                  // lazy slice subkeys
   // Columnar batch scratch (ApplyDeltaColumns / RunLinearTriggerColumns);

@@ -3,17 +3,17 @@
 //
 // A compiled module is a self-contained C translation unit: it receives
 // every service it needs — view probes, index-driven loop enumeration,
-// emission buffering — as a table of function pointers (RdbHostApi)
-// passed into each statement function, so the .so links against nothing
-// and the host needs no -rdynamic. Values cross the boundary as RdbVal
-// (a flattened util/value.h Value: tagged int64/double/string-view) and
-// scalars as RdbNum (a flattened util/numeric.h Numeric). String
-// payloads are borrowed pointers into host-owned storage (update params,
-// constant pools, view entry keys); they stay valid for the duration of
-// one statement execution because natively emitted statements never
-// mutate a view mid-run (emissions are buffered by the host and applied
-// after the statement function returns, and lazy-domain statements are
-// not emitted at all).
+// batched emission — as a table of function pointers (RdbHostApi) passed
+// into each columnar-window entry point, so the .so links against
+// nothing and the host needs no -rdynamic. Values cross the boundary as
+// RdbVal (a flattened util/value.h Value: tagged int64/double/string-
+// view) and scalars as RdbNum (a flattened util/numeric.h Numeric).
+// String payloads are borrowed pointers into host-owned storage (the
+// mirrored delta columns, constant pools, view entry keys); they stay
+// valid for the duration of one window call because the only mutation a
+// module performs is add_span into the statement's target view, which no
+// rhs of the statement reads (windows are emitted only for such direct-
+// add statements, and lazy-domain statements are not emitted at all).
 //
 // The emitted preamble (codegen_c.cc) textually duplicates these
 // definitions so the module compiles standalone; RDB_ABI_VERSION and the
@@ -33,9 +33,10 @@ extern "C" {
 
 // Bumped whenever a struct layout or host-api slot changes.
 // v3: columnar windows — RdbColWin, the RdbColStmtFn entry-point shape,
-// and the add_span host slot (appended, so the v2 prefix is unchanged;
-// the bump still retires stale cached modules).
-enum : uint32_t { RDB_ABI_VERSION = 3 };
+// and the add_span host slot.
+// v4: the per-firing entry points and their emit/add slots are gone, so
+// fail and add_span move up two slots.
+enum : uint32_t { RDB_ABI_VERSION = 4 };
 
 // A flattened Value: kind 0 = int64 (payload i), 1 = double (payload d),
 // 2 = string (payload s/slen, NOT NUL-terminated, borrowed).
@@ -72,26 +73,16 @@ typedef struct RdbHostApi {
   void (*foreach_matching)(void* ctx, int32_t view_id, int32_t index_id,
                            const RdbVal* subkey, uint32_t n, RdbLoopFn fn,
                            void* env);
-  // Buffers one emission target[key] += value; the host applies all
-  // buffered emissions (scaled) after the statement function returns.
-  // Used by statements whose rhs may read the target view (self-loops):
-  // all rhs evaluations must observe the pre-statement state.
-  void (*emit)(void* ctx, const RdbVal* key, uint32_t n, RdbNum value);
-  // Immediate emission: view[key] += delta, applied in place (the
-  // statement scale already folded in). Sound only when the statement's
-  // rhs provably never reads `view_id` — the emitter checks the loop
-  // drivers and probe plans statically and falls back to emit()
-  // otherwise. Skips the buffer round trip on the hot path.
-  void (*add)(void* ctx, int32_t view_id, const RdbVal* key, uint32_t n,
-              RdbNum delta);
   // Aborts with a diagnostic (the RINGDB_CHECK analogue; never returns).
   void (*fail)(void* ctx, const char* msg);
   // Batched immediate emission: view[keys + j*arity .. +arity) += deltas[j]
-  // for j in [0, count). The columnar-window analogue of add(): window
-  // variants accumulate chunks of scaled (key, delta) pairs locally and
-  // flush them through one host call, which hashes all keys up front
-  // (ViewTable::AddSpan). Zero deltas are skipped by the host. Same
-  // direct-emission soundness requirement as add().
+  // for j in [0, count), applied in place (scales already folded in).
+  // Window entry points accumulate chunks of scaled (key, delta) pairs
+  // locally and flush them through one host call, which hashes all keys
+  // up front (ViewTable::AddSpan). Zero deltas are skipped by the host.
+  // Sound only when the statement's rhs provably never reads `view_id` —
+  // the emitter checks the loop drivers and probe plans statically and
+  // emits no window otherwise.
   void (*add_span)(void* ctx, int32_t view_id, const RdbVal* keys,
                    const RdbNum* deltas, uint32_t count, uint32_t arity);
 } RdbHostApi;
@@ -109,21 +100,12 @@ typedef struct RdbColWin {
   uint32_t arity;
 } RdbColWin;
 
-// One lowered statement compiled to native code. `params` holds the
-// update's values (the trigger relation's arity of them); `scale` is the
-// emission scale (1 for unit firings, the net multiplicity for scaled
-// linear firings, the accumulated group coefficient on the grouped batch
-// path). Statements emitting through api->emit ignore scale (the host
-// applies it when flushing); direct-add statements fold it in.
-typedef void (*RdbStmtFn)(const RdbHostApi* api, void* ctx,
-                          const RdbVal* params, RdbNum scale);
-
-// The columnar-window entry point of one statement (`<fn>_w`, and `_gw`
-// for the grouped rhs): runs the whole window's firings in one native
-// call, indexing columns directly — no per-firing host dispatch. The
-// per-firing scale is already folded in by the emitting code (windows are
-// only emitted for direct-add statements, so there is no host-side flush
-// to apply it).
+// The native entry point of one statement, and the only one a module
+// exports (`rdb_t<T>_s<S>_w`, and `_gw` for the grouped rhs): runs the
+// whole window's firings in one native call, indexing columns directly —
+// no per-firing host dispatch. The per-firing scale is folded in by the
+// emitting code (windows are only emitted for direct-add statements, so
+// there is no host-side flush to apply it).
 typedef void (*RdbColStmtFn)(const RdbHostApi* api, void* ctx,
                              const RdbColWin* win);
 

@@ -158,7 +158,8 @@ StatusOr<std::shared_ptr<const NativeModule>> NativeModule::Build(
   compiler::CodegenModule gen = compiler::GenerateModule(program);
   if (gen.emitted_statements == 0) {
     return Status::FailedPrecondition(
-        "no emittable statements (lazy-domain program); interpreter only");
+        "no emittable statements (every statement is lazy-domain or reads "
+        "its own target); interpreter only");
   }
   const std::string cc = FindCompiler();
   if (cc.empty()) {
@@ -231,25 +232,10 @@ StatusOr<std::shared_ptr<NativeModule>> NativeModule::LoadAndResolve(
       const compiler::CodegenStmt& cs = gen.stmts[t][s];
       if (!cs.emitted) continue;
       StmtFns fns;
-      fns.plain = reinterpret_cast<RdbStmtFn>(
-          ::dlsym(handle, cs.fn.c_str()));
-      if (fns.plain == nullptr) {
-        return Status::Internal("missing native symbol " + cs.fn);
-      }
-      if (!cs.grouped_fn.empty()) {
-        fns.grouped = reinterpret_cast<RdbStmtFn>(
-            ::dlsym(handle, cs.grouped_fn.c_str()));
-        if (fns.grouped == nullptr) {
-          return Status::Internal("missing native symbol " +
-                                  cs.grouped_fn);
-        }
-      }
-      if (!cs.win_fn.empty()) {
-        fns.col_plain = reinterpret_cast<RdbColStmtFn>(
-            ::dlsym(handle, cs.win_fn.c_str()));
-        if (fns.col_plain == nullptr) {
-          return Status::Internal("missing native symbol " + cs.win_fn);
-        }
+      fns.col_plain = reinterpret_cast<RdbColStmtFn>(
+          ::dlsym(handle, cs.win_fn.c_str()));
+      if (fns.col_plain == nullptr) {
+        return Status::Internal("missing native symbol " + cs.win_fn);
       }
       if (!cs.grouped_win_fn.empty()) {
         if (cs.grouped_win_fn == cs.win_fn) {

@@ -1,7 +1,8 @@
 // Runtime compilation of generated trigger modules: take the C source
 // emitted by compiler::GenerateModule, compile it with the host C
-// compiler (`cc -O2 -shared -fPIC`), dlopen the result, and resolve one
-// function pointer per emitted statement variant.
+// compiler (`cc -O2 -shared -fPIC`), dlopen the result, and resolve the
+// columnar-window entry points of every emitted statement (the only
+// native code a module exports; runtime/native_abi.h).
 //
 // Shared objects are cached by source hash under a per-user build
 // directory, so repeated engine construction for the same query (every
@@ -42,16 +43,13 @@ namespace runtime {
 
 class NativeModule {
  public:
-  // Per-statement native entry points; null means interpreter fallback.
-  // The prefer flags carry the emitter's static cost-model verdict per
-  // variant (compiler::CodegenStmt); the compiled executor's profile-
-  // guided selection starts from them.
+  // Per-statement columnar-window entry points; null col_plain means the
+  // statement was not emitted and always interprets. col_grouped is null
+  // for non-groupable statements and aliases col_plain when the grouped
+  // rhs folds nothing. The prefer flags carry the emitter's static cost-
+  // model verdict per variant (compiler::CodegenStmt), which the compiled
+  // executor locks when it has no clock to profile with.
   struct StmtFns {
-    RdbStmtFn plain = nullptr;
-    RdbStmtFn grouped = nullptr;
-    // Columnar-window entry points (null for non-direct-add statements,
-    // which keep per-firing dispatch). col_grouped aliases col_plain when
-    // the grouped rhs folds nothing, mirroring grouped_fn == fn.
     RdbColStmtFn col_plain = nullptr;
     RdbColStmtFn col_grouped = nullptr;
     bool prefer_native = true;

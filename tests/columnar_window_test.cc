@@ -240,7 +240,7 @@ std::optional<RunOutcome> RunOnce(const Query& q,
 // The semantic counters that the contract pins across backends.
 // Excluded: native_calls / interp_calls (dispatch split is profile-
 // guided, so timing-dependent) and arithmetic_ops (documented as
-// instrumentation of arithmetic actually performed — native statements
+// instrumentation of arithmetic actually performed — native windows
 // do not instrument rhs ops).
 void ExpectSameCounters(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.gmr, b.gmr);

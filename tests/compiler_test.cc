@@ -217,7 +217,8 @@ TEST(CodegenTest, EmitsStatementFunctionsPerTrigger) {
   ASSERT_EQ(mod.stmts.size(), compiled->program.triggers.size());
   EXPECT_GT(mod.emitted_statements, 0u);
   // Every statement of this non-lazy program is emitted, each trigger
-  // gets a marker section, and exported names follow rdb_t<T>_s<S>.
+  // gets a marker section, and exported names follow rdb_t<T>_s<S>_w
+  // (the columnar-window entry point, the only one a module exports).
   for (size_t t = 0; t < mod.stmts.size(); ++t) {
     const Trigger& trigger = compiled->program.triggers[t];
     std::string marker =
@@ -228,9 +229,12 @@ TEST(CodegenTest, EmitsStatementFunctionsPerTrigger) {
     ASSERT_EQ(mod.stmts[t].size(), trigger.statements.size());
     for (size_t s = 0; s < mod.stmts[t].size(); ++s) {
       EXPECT_TRUE(mod.stmts[t][s].emitted);
-      std::string decl = "void " + mod.stmts[t][s].fn +
+      const std::string name = "rdb_t" + std::to_string(t) + "_s" +
+                               std::to_string(s) + "_w";
+      EXPECT_EQ(mod.stmts[t][s].win_fn, name);
+      std::string decl = "void " + name +
                          "(const RdbHostApi* api, void* ctx, "
-                         "const RdbVal* p, RdbNum scale)";
+                         "const RdbColWin* win)";
       EXPECT_NE(mod.source.find(decl), std::string::npos) << decl;
     }
   }
@@ -238,7 +242,7 @@ TEST(CodegenTest, EmitsStatementFunctionsPerTrigger) {
   // straight through the host api (direct add — no statement reads its
   // own target), no enumeration calls.
   EXPECT_EQ(mod.source.find("->foreach"), std::string::npos);
-  EXPECT_NE(mod.source.find("->add("), std::string::npos);
+  EXPECT_NE(mod.source.find("->add_span("), std::string::npos);
   // Loader handshake symbols are always present.
   EXPECT_NE(mod.source.find("rdb_abi_version"), std::string::npos);
   EXPECT_NE(mod.source.find("rdb_abi_layout"), std::string::npos);

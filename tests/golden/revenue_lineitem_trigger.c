@@ -11,33 +11,6 @@ typedef struct {
   RdbNum* vb;
   uint32_t nb;
 } rdb_t2_s0_env;
-static void rdb_t2_s0_body(rdb_t2_s0_env* E) {
-  RdbNum t0 = rdb_mul(rdb_mul(rdb_num(E->api, E->ctx, E->p[1]), rdb_num(E->api, E->ctx, E->p[2])), E->lv[0]);
-  RdbNum v = t0;
-  if (rdb_is_zero(v)) return;
-  RdbVal tk[1];
-  tk[0] = E->f[0];
-  if (!rdb_is_one(E->sc)) v = rdb_mul(v, E->sc);
-  E->api->add(E->ctx, 0, tk, 1, v);
-}
-static void rdb_t2_s0_l0(void* ve, const RdbVal* k, RdbNum m) {
-  rdb_t2_s0_env* E = (rdb_t2_s0_env*)ve;
-  E->f[0] = k[1];
-  E->lv[0] = m;
-  rdb_t2_s0_body(E);
-}
-void rdb_t2_s0(const RdbHostApi* api, void* ctx, const RdbVal* p, RdbNum scale) {
-  rdb_t2_s0_env e;
-  e.api = api;
-  e.ctx = ctx;
-  e.p = p;
-  e.sc = scale;
-  rdb_t2_s0_env* E = &e;
-  RdbVal sk0[1];
-  sk0[0] = E->p[0];
-  E->api->foreach_matching(E->ctx, 2, 0, sk0, 1, rdb_t2_s0_l0, (void*)E);
-}
-
 static void rdb_t2_s0_w_body(rdb_t2_s0_env* E) {
   RdbNum t0 = rdb_mul(rdb_mul(rdb_num(E->api, E->ctx, E->p[1]), rdb_num(E->api, E->ctx, E->p[2])), E->lv[0]);
   RdbNum v = t0;
@@ -88,32 +61,6 @@ void rdb_t2_s0_w(const RdbHostApi* api, void* ctx, const RdbColWin* win) {
 }
 
 /* grouped variant of stmt 0: static cost model prefers interpreter */
-static void rdb_t2_s0_g_body(rdb_t2_s0_env* E) {
-  RdbNum v = E->lv[0];
-  if (rdb_is_zero(v)) return;
-  RdbVal tk[1];
-  tk[0] = E->f[0];
-  if (!rdb_is_one(E->sc)) v = rdb_mul(v, E->sc);
-  E->api->add(E->ctx, 0, tk, 1, v);
-}
-static void rdb_t2_s0_g_l0(void* ve, const RdbVal* k, RdbNum m) {
-  rdb_t2_s0_env* E = (rdb_t2_s0_env*)ve;
-  E->f[0] = k[1];
-  E->lv[0] = m;
-  rdb_t2_s0_g_body(E);
-}
-void rdb_t2_s0_g(const RdbHostApi* api, void* ctx, const RdbVal* p, RdbNum scale) {
-  rdb_t2_s0_env e;
-  e.api = api;
-  e.ctx = ctx;
-  e.p = p;
-  e.sc = scale;
-  rdb_t2_s0_env* E = &e;
-  RdbVal sk0[1];
-  sk0[0] = E->p[0];
-  E->api->foreach_matching(E->ctx, 2, 0, sk0, 1, rdb_t2_s0_g_l0, (void*)E);
-}
-
 static void rdb_t2_s0_gw_body(rdb_t2_s0_env* E) {
   RdbNum v = E->lv[0];
   if (rdb_is_zero(v)) return;
@@ -177,25 +124,6 @@ typedef struct {
   RdbNum* vb;
   uint32_t nb;
 } rdb_t2_s1_env;
-static void rdb_t2_s1_body(rdb_t2_s1_env* E) {
-  RdbNum t0 = rdb_mul(rdb_num(E->api, E->ctx, E->p[1]), rdb_num(E->api, E->ctx, E->p[2]));
-  RdbNum v = t0;
-  if (rdb_is_zero(v)) return;
-  RdbVal tk[1];
-  tk[0] = E->p[0];
-  if (!rdb_is_one(E->sc)) v = rdb_mul(v, E->sc);
-  E->api->add(E->ctx, 1, tk, 1, v);
-}
-void rdb_t2_s1(const RdbHostApi* api, void* ctx, const RdbVal* p, RdbNum scale) {
-  rdb_t2_s1_env e;
-  e.api = api;
-  e.ctx = ctx;
-  e.p = p;
-  e.sc = scale;
-  rdb_t2_s1_env* E = &e;
-  rdb_t2_s1_body(E);
-}
-
 void rdb_t2_s1_w(const RdbHostApi* api, void* ctx, const RdbColWin* win) {
   const RdbVal* restrict c0 = win->cols[0];
   const RdbVal* restrict c1 = win->cols[1];
@@ -220,24 +148,6 @@ void rdb_t2_s1_w(const RdbHostApi* api, void* ctx, const RdbColWin* win) {
     }
   }
   if (nb) api->add_span(ctx, 1, kb, vb, nb, 1);
-}
-
-static void rdb_t2_s1_g_body(rdb_t2_s1_env* E) {
-  RdbNum v = rdb_num(E->api, E->ctx, rdb_t2_s1_c[0]);
-  if (rdb_is_zero(v)) return;
-  RdbVal tk[1];
-  tk[0] = E->p[0];
-  if (!rdb_is_one(E->sc)) v = rdb_mul(v, E->sc);
-  E->api->add(E->ctx, 1, tk, 1, v);
-}
-void rdb_t2_s1_g(const RdbHostApi* api, void* ctx, const RdbVal* p, RdbNum scale) {
-  rdb_t2_s1_env e;
-  e.api = api;
-  e.ctx = ctx;
-  e.p = p;
-  e.sc = scale;
-  rdb_t2_s1_env* E = &e;
-  rdb_t2_s1_g_body(E);
 }
 
 void rdb_t2_s1_gw(const RdbHostApi* api, void* ctx, const RdbColWin* win) {

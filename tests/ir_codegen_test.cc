@@ -119,7 +119,8 @@ TEST(CodegenTest, EveryViewListedAndEmittableStatementsExported) {
   for (size_t t = 0; t < mod.stmts.size(); ++t) {
     for (const CodegenStmt& cs : mod.stmts[t]) {
       ASSERT_TRUE(cs.emitted);  // equality join: nothing lazy
-      EXPECT_NE(mod.source.find("void " + cs.fn + "("), std::string::npos);
+      EXPECT_NE(mod.source.find("void " + cs.win_fn + "("),
+                std::string::npos);
     }
   }
 }
@@ -149,8 +150,8 @@ TEST(CodegenTest, LazyDomainStatementsFallBackToInterpreter) {
 
 TEST(CodegenTest, GroupedVariantDistinctWhenParamsFold) {
   // Revenue shape: the +lineitem statements fold price/qty out of the
-  // grouped rhs, so each groupable statement exports a distinct _g
-  // function next to the plain one.
+  // grouped rhs, so each groupable statement exports a distinct _gw
+  // window next to the plain one.
   ring::Catalog catalog = workload::OrdersSchema();
   auto t = sql::TranslateSql(
       catalog,
@@ -161,12 +162,14 @@ TEST(CodegenTest, GroupedVariantDistinctWhenParamsFold) {
   ASSERT_TRUE(compiled.ok());
   CodegenModule mod = GenerateModule(compiled->program);
   bool any_distinct = false;
-  for (const auto& trigger : mod.stmts) {
-    for (const CodegenStmt& cs : trigger) {
-      if (cs.grouped_fn.empty()) continue;
-      EXPECT_EQ(cs.grouped_fn, cs.fn + "_g");
+  for (size_t t = 0; t < mod.stmts.size(); ++t) {
+    for (size_t s = 0; s < mod.stmts[t].size(); ++s) {
+      const CodegenStmt& cs = mod.stmts[t][s];
+      if (cs.grouped_win_fn.empty()) continue;
+      EXPECT_EQ(cs.grouped_win_fn, "rdb_t" + std::to_string(t) + "_s" +
+                                       std::to_string(s) + "_gw");
       any_distinct = true;
-      EXPECT_NE(mod.source.find("void " + cs.grouped_fn + "("),
+      EXPECT_NE(mod.source.find("void " + cs.grouped_win_fn + "("),
                 std::string::npos);
     }
   }
@@ -176,7 +179,7 @@ TEST(CodegenTest, GroupedVariantDistinctWhenParamsFold) {
 TEST(CodegenTest, GroupedVariantSharedWhenNothingFolds) {
   // Weighted grouped join where the weight is a joined column, not an
   // update parameter: nothing folds out of the grouped rhs, so the
-  // module records grouped_fn == fn instead of duplicating code.
+  // module records grouped_win_fn == win_fn instead of duplicating code.
   ring::Catalog catalog;
   catalog.AddRelation(S("Rgs"), {S("ok"), S("ck"), S("z")});
   catalog.AddRelation(S("Sgs"), {S("ok2"), S("v")});
@@ -190,7 +193,7 @@ TEST(CodegenTest, GroupedVariantSharedWhenNothingFolds) {
   bool any_shared = false;
   for (const auto& trigger : mod.stmts) {
     for (const CodegenStmt& cs : trigger) {
-      if (!cs.grouped_fn.empty() && cs.grouped_fn == cs.fn) {
+      if (!cs.grouped_win_fn.empty() && cs.grouped_win_fn == cs.win_fn) {
         any_shared = true;
       }
     }
@@ -203,8 +206,8 @@ TEST(CodegenTest, TrivialForwardedLoopPrefersInterpreter) {
   // bind-and-copy loop the interpreter already executes optimally; the
   // static cost model must flag it prefer-interpreter so profiling-free
   // builds (-DRINGDB_NO_METRICS) keep it off the ABI marshalling tax.
-  // Since PR 6 the variant is still *emitted* — the runtime's profile-
-  // guided selection may overturn the verdict on the live workload.
+  // The window variant is still *emitted* — the runtime's window
+  // profiler may overturn the verdict on the live workload.
   ring::Catalog catalog;
   catalog.AddRelation(S("Rcm"), {S("ok"), S("ck")});
   catalog.AddRelation(S("Scm"), {S("ok2"), S("v")});
@@ -218,7 +221,7 @@ TEST(CodegenTest, TrivialForwardedLoopPrefersInterpreter) {
   for (const auto& trigger : mod.stmts) {
     for (const CodegenStmt& cs : trigger) {
       if (!cs.emitted) continue;
-      EXPECT_FALSE(cs.fn.empty());
+      EXPECT_FALSE(cs.win_fn.empty());
       if (!cs.prefer_native || !cs.grouped_prefer_native) {
         any_prefer_interp = true;
       }

@@ -11,17 +11,20 @@
 // into failures so an environment that is supposed to exercise native
 // code cannot silently regress to the interpreter.
 
+#include <dlfcn.h>
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "runtime/engine.h"
+#include "runtime/native_abi.h"
 #include "serve/query_service.h"
 #include "sql/translate.h"
 #include "util/random.h"
@@ -84,6 +87,15 @@ bool ExpectNative() {
   return std::getenv("RINGDB_EXPECT_NATIVE") != nullptr;
 }
 
+// native_calls per statement (all zero under -DRINGDB_NO_METRICS).
+std::vector<uint64_t> NativeCalls(const Engine& engine) {
+  std::vector<uint64_t> out;
+  for (const Engine::StmtStats& s : engine.Stats().statements) {
+    out.push_back(s.counters.native_calls);
+  }
+  return out;
+}
+
 // Builds a compiled-backend engine or explains why native is off; used
 // to decide skip-vs-fail on compiler-less hosts.
 StatusOr<Engine> CompiledEngine(const ring::Catalog& catalog,
@@ -141,13 +153,63 @@ TEST(NativeBackendTest, CompiledMatchesInterpreterOnRevenueStream) {
   ASSERT_TRUE(compiled->ApplyBatch(updates).ok());
   ASSERT_TRUE(interp->ApplyBatch(updates).ok());
   EXPECT_EQ(compiled->ResultGmr(), interp->ResultGmr());
+  const std::vector<uint64_t> after_batch = NativeCalls(*compiled);
+#ifndef RINGDB_NO_METRICS
+  // Native code runs as whole columnar windows; the profiler starts each
+  // window variant on its native side, so the batch phase must have
+  // called into the module.
+  if (ExpectNative()) {
+    uint64_t batch_native = 0;
+    for (uint64_t n : after_batch) batch_native += n;
+    EXPECT_GT(batch_native, 0u) << compiled->StatsText();
+  }
+#endif
 
-  // Single-tuple path through the same native statements.
+  // Single tuples never form a window: they run the interpreter's firing
+  // path and add no native calls to any statement.
   for (const Update& u : RevenueStream(catalog, 200)) {
     ASSERT_TRUE(compiled->Apply(u).ok());
     ASSERT_TRUE(interp->Apply(u).ok());
   }
   EXPECT_EQ(compiled->ResultGmr(), interp->ResultGmr());
+  EXPECT_EQ(NativeCalls(*compiled), after_batch) << compiled->StatsText();
+}
+
+TEST(NativeBackendTest, WindowVariantsReadUnusedUnderSingleTupleApply) {
+  ring::Catalog catalog = workload::OrdersSchema();
+  sql::TranslatedQuery q = RevenueQuery(catalog);
+  auto compiled = CompiledEngine(catalog, q, 64, 1);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled->native_enabled()) {
+    ASSERT_FALSE(ExpectNative()) << compiled->native_status().ToString();
+    GTEST_SKIP() << compiled->native_status().ToString();
+  }
+  for (const Update& u : RevenueStream(catalog, 500)) {
+    ASSERT_TRUE(compiled->Apply(u).ok());
+  }
+  // No window ever ran, so no window variant is profiling or locked:
+  // each one says so, and the trace-span summary reports interpreted
+  // dispatch rather than profiling.
+  size_t windows = 0;
+  for (const Engine::StmtStats& s : compiled->Stats().statements) {
+    EXPECT_EQ(s.dispatch.plain_mode, 0) << s.label;
+    EXPECT_EQ(s.dispatch.grouped_mode, 0) << s.label;
+    if (!s.dispatch.window_available) continue;
+    ++windows;
+    EXPECT_EQ(s.dispatch.win_plain_mode, 3) << s.label;
+    if (s.dispatch.grouped_available) {
+      EXPECT_EQ(s.dispatch.win_grouped_mode, 3) << s.label;
+    }
+  }
+  EXPECT_GT(windows, 0u);
+  EXPECT_EQ(compiled->executor().window_dispatch_mode(), 1u);
+  const std::string text = compiled->StatsText();
+  EXPECT_NE(text.find("w:unused"), std::string::npos) << text;
+  EXPECT_EQ(text.find("profiling"), std::string::npos) << text;
+  const std::string json = compiled->StatsJson();
+  EXPECT_NE(json.find("\"win_plain_mode\": \"unused\""), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("profiling"), std::string::npos) << json;
 }
 
 TEST(NativeBackendTest, ShardedCompiledMatchesInterpreter) {
@@ -191,14 +253,16 @@ TEST(NativeBackendTest, CorruptedCacheEntryIsEvictedAndRebuilt) {
 
   // Corruption shapes a cache can actually contain when a fresh process
   // starts (crashed copy, bit rot, cache shared with an incompatible
-  // build): truncated artifact, then outright garbage bytes under the
-  // hash-keyed name. Both must be evicted and rebuilt, never surfaced
-  // as an engine-construction failure or a crash. Each round populates
-  // and then fully releases the module before corrupting: dlopen of a
-  // path that is still mapped in-process returns the live mapping, so
+  // build): truncated artifact, outright garbage bytes, and a well-formed
+  // module from the previous ABI version under the hash-keyed name. All
+  // must be evicted and rebuilt, never surfaced as an engine-construction
+  // failure, a crash, or a stale module in use. Each round populates and
+  // then fully releases the module before corrupting: dlopen of a path
+  // that is still mapped in-process returns the live mapping, so
   // in-place corruption under a live engine is not the scenario this
   // recovery path serves.
-  for (const char* mode : {"truncate", "garbage"}) {
+  const std::string version_decl = "const int32_t rdb_abi_version = ";
+  for (const char* mode : {"truncate", "garbage", "stale-abi"}) {
     std::vector<fs::path> so_files;
     {
       auto first = CompiledEngine(catalog, q, 16, 1);
@@ -214,6 +278,33 @@ TEST(NativeBackendTest, CorruptedCacheEntryIsEvictedAndRebuilt) {
       ASSERT_FALSE(so_files.empty()) << mode;
     }  // engine destroyed -> module dlclosed -> mapping released
     for (const fs::path& so : so_files) {
+      if (std::string_view(mode) == "stale-abi") {
+        // The cached source recompiled with the previous rdb_abi_version:
+        // it loads, resolves every symbol and passes the layout check, so
+        // only the version handshake can reject it.
+        fs::path c = so;
+        c.replace_extension(".c");
+        std::ifstream in(c);
+        std::string source((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+        const std::string current =
+            version_decl + std::to_string(runtime::RDB_ABI_VERSION) + ";";
+        const size_t at = source.find(current);
+        ASSERT_NE(at, std::string::npos) << c;
+        source.replace(at, current.size(),
+                       version_decl +
+                           std::to_string(runtime::RDB_ABI_VERSION - 1) +
+                           ";");
+        const fs::path stale_c = fs::path(cache_template) / "stale-abi.c";
+        std::ofstream(stale_c) << source;
+        const char* cc = std::getenv("RINGDB_CC");
+        const std::string cmd = std::string(cc != nullptr ? cc : "cc") +
+                                " -O2 -fPIC -shared -w -x c " +
+                                stale_c.string() + " -o " + so.string();
+        ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+        fs::remove(stale_c);
+        continue;
+      }
       std::ofstream out(so, std::ios::binary | std::ios::trunc);
       if (std::string_view(mode) == "garbage") {
         out << "this is not an ELF shared object";
@@ -224,6 +315,18 @@ TEST(NativeBackendTest, CorruptedCacheEntryIsEvictedAndRebuilt) {
                               << rebuilt.status().ToString();
     EXPECT_TRUE(rebuilt->native_enabled())
         << mode << ": " << rebuilt->native_status().ToString();
+    // The module the engine holds is the rebuilt one, at the current ABI
+    // version (RTLD_NOLOAD: only a handle to the already-mapped object).
+    for (const fs::path& so : so_files) {
+      void* handle = ::dlopen(so.c_str(), RTLD_NOW | RTLD_NOLOAD);
+      ASSERT_NE(handle, nullptr) << mode << ": " << so;
+      const auto* version =
+          static_cast<const int32_t*>(::dlsym(handle, "rdb_abi_version"));
+      ASSERT_NE(version, nullptr) << mode;
+      EXPECT_EQ(*version, static_cast<int32_t>(runtime::RDB_ABI_VERSION))
+          << mode;
+      ::dlclose(handle);
+    }
 
     // And the rebuilt module computes correctly.
     auto oracle = Engine::Create(catalog, q.group_vars, q.body);

@@ -236,10 +236,15 @@ TEST(IngestQueueSpscTest, CloseReleasesProducersBlockedOnFullQueue) {
     });
   }
   // Let the producers reach the wait (best effort; Close is correct
-  // whether or not they are parked yet).
+  // whether or not they are parked yet). Without metrics there is no
+  // stall counter to watch, so the wait is a fixed pause.
+#ifndef RINGDB_NO_METRICS
   while (queue.GetStats().stalls < kBlocked) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+#else
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+#endif
   queue.Close();
   for (std::thread& t : producers) t.join();
   EXPECT_EQ(rejected.load(), kBlocked);

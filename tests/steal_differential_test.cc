@@ -151,7 +151,9 @@ TEST_P(StealDifferentialTest, ForcedAndDisabledStealingMatchOracle) {
   // differential if forced runs actually stole. Disabled never steals;
   // forced steals whenever another shard has morsels (thousands of
   // windows' worth of opportunities here), so a zero count would mean
-  // the test hook is dead, not that the race went the other way.
+  // the test hook is dead, not that the race went the other way. The
+  // steal counters are compiled out under -DRINGDB_NO_METRICS.
+#ifndef RINGDB_NO_METRICS
   const exec::ShardedExecutor::StealStats f = forced->sharded().steal_stats();
   const exec::ShardedExecutor::StealStats d =
       disabled->sharded().steal_stats();
@@ -165,6 +167,7 @@ TEST_P(StealDifferentialTest, ForcedAndDisabledStealingMatchOracle) {
   } else {
     EXPECT_EQ(f.morsels_stolen, 0u);
   }
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCells, StealDifferentialTest,
@@ -210,9 +213,11 @@ TEST(StealDifferentialTest, PublishedSubSnapshotsInvariantToStealing) {
       EXPECT_EQ(d_parts[s]->At(key.begin(), key.size()), m);
     });
   }
+#ifndef RINGDB_NO_METRICS
   if (forced->num_shards() > 1) {
     EXPECT_GT(forced->sharded().steal_stats().morsels_stolen, 0u);
   }
+#endif
 }
 
 }  // namespace
