@@ -205,25 +205,6 @@ std::string CValInit(const Value& v) {
   return "{0, 0.0, 0, 0, 0}";
 }
 
-// Static cost model for one rhs variant: a native statement pays an
-// ABI-crossing conversion per enumerated loop entry (key values
-// marshalled to RdbVal, callback through a function pointer), and buys
-// back the interpreter's opcode dispatch. A loop whose rhs is a single
-// load — the strength-reduced grouped join forwarding the driver's
-// multiplicity — is already a bind-and-copy loop in the interpreter with
-// nothing left to buy back; measured on the zipf revenue stream, running
-// it natively LOSES ~7%. Loop-less statements (pure arithmetic, no
-// per-entry tax) and loops with real rhs work win.
-//
-// The verdict is a *preference*, not an emission gate: every window
-// variant is compiled, and the runtime's window profiler
-// (runtime/compiled_executor.h) alternates it with the interpreter during
-// a warmup and locks whichever measures faster. Without a clock
-// (-DRINGDB_NO_METRICS) the preference locks directly.
-bool WorthNative(const lw::StmtProgram& sp, const lw::RhsProgram& rhs) {
-  return sp.loops.empty() || rhs.ops.size() > 1;
-}
-
 // Rows buffered by a columnar window before flushing through
 // api->add_span (flattened keys + parallel scaled deltas). 128 keeps the
 // key chunk a few KB of stack while amortizing the host's up-front
@@ -648,22 +629,11 @@ CodegenModule GenerateModule(const TriggerProgram& program) {
       cs.emitted = true;
       const std::string base =
           "rdb_t" + std::to_string(t) + "_s" + std::to_string(s);
-      cs.prefer_native = WorthNative(sp, sp.rhs);
-      if (!cs.prefer_native) {
-        out << "/* stmt " << s
-            << ": static cost model prefers interpreter "
-               "(profile-guided selection decides at run time) */\n";
-      }
       StmtEmitter emitter(sp, base, &out);
       emitter.EmitShared();
       cs.win_fn = base + "_w";
       emitter.EmitWindowVariant("_w", sp.rhs);
       if (sp.groupable) {
-        cs.grouped_prefer_native = WorthNative(sp, sp.grouped_rhs);
-        if (!cs.grouped_prefer_native) {
-          out << "/* grouped variant of stmt " << s
-              << ": static cost model prefers interpreter */\n";
-        }
         if (sp.foldable_params.empty()) {
           // grouped_rhs shares the plain ops; reuse the window function.
           cs.grouped_win_fn = cs.win_fn;

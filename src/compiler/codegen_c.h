@@ -28,15 +28,9 @@
 // targets) and statements whose rhs reads their own target view (which
 // must buffer emissions per firing) are skipped and keep the interpreter
 // (CodegenStmt::emitted false); so do single tuples, which never form a
-// window. For the rest a per-variant static cost model records a
-// *preference*: loops whose rhs is a single load (the strength-reduced
-// grouped join) are flagged prefer-interpreter — the interpreter already
-// runs those as bind-and-copy loops, and the ABI marshalling per
-// enumerated entry usually costs more than the saved dispatch — but the
-// runtime's window profiler (runtime/compiled_executor.h) measures both
-// backends during warmup and may overturn the static verdict on the live
-// workload. A statement whose grouped rhs folds nothing reuses the plain
-// window (grouped_win_fn == win_fn).
+// window. Every window of an emitted statement runs its native window
+// function (runtime/compiled_executor.h). A statement whose grouped rhs
+// folds nothing reuses the plain window (grouped_win_fn == win_fn).
 
 #ifndef RINGDB_COMPILER_CODEGEN_C_H_
 #define RINGDB_COMPILER_CODEGEN_C_H_
@@ -58,12 +52,6 @@ struct CodegenStmt {
   // and equals win_fn when its grouped rhs folds nothing.
   std::string win_fn;
   std::string grouped_win_fn;
-  // Static cost-model verdict per variant (see WorthNative in the .cc):
-  // the runtime's window profiler (runtime/compiled_executor.h) locks it
-  // directly under -DRINGDB_NO_METRICS and otherwise overrides it with
-  // measured warmup timings.
-  bool prefer_native = true;          // plain variant
-  bool grouped_prefer_native = true;  // grouped variant
 };
 
 struct CodegenModule {

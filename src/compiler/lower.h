@@ -143,8 +143,8 @@ struct StmtProgram {
 
   // Flat program-wide statement id (trigger-major assignment order),
   // indexing LoweredProgram::num_statements-sized side tables: the
-  // runtime's per-statement execution counters (obs layer) and the
-  // compiled backend's per-variant profiles key on it.
+  // runtime's per-statement execution counters (obs layer) and dispatch
+  // reports (StmtDispatch) key on it.
   uint32_t stmt_id = 0;
 
   // Column-access metadata for the columnar batch path: the trigger

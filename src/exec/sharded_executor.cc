@@ -412,6 +412,21 @@ ShardedExecutor::AggregateStmtCounters() const {
   return total;
 }
 
+void ShardedExecutor::CollectDispatch(
+    std::vector<runtime::Executor::StmtDispatch>* out) const {
+  shards_[0]->CollectDispatch(out);
+  std::vector<runtime::Executor::StmtDispatch> per;
+  for (size_t s = 1; s < shards_.size(); ++s) {
+    shards_[s]->CollectDispatch(&per);
+    for (size_t i = 0; i < per.size() && i < out->size(); ++i) {
+      (*out)[i].win_plain_mode =
+          std::min((*out)[i].win_plain_mode, per[i].win_plain_mode);
+      (*out)[i].win_grouped_mode =
+          std::min((*out)[i].win_grouped_mode, per[i].win_grouped_mode);
+    }
+  }
+}
+
 void ShardedExecutor::ResetStats() {
   for (const auto& shard : shards_) shard->ResetStats();
 }

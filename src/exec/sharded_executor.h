@@ -161,12 +161,11 @@ class ShardedExecutor {
   // Cross-shard sums of the per-statement counters, indexed by
   // StmtProgram::stmt_id (same read-safety caveat as AggregateStats).
   std::vector<runtime::Executor::StmtCounters> AggregateStmtCounters() const;
-  // Shard 0's backend dispatch report (shards profile independently but
-  // see statistically identical slices, so one shard is representative).
+  // The shards' backend dispatch reports, merged. Window modes merge by
+  // minimum: native (1) sorts before unused (3), so a window variant reads
+  // native once any shard has run it.
   void CollectDispatch(
-      std::vector<runtime::Executor::StmtDispatch>* out) const {
-    shards_[0]->CollectDispatch(out);
-  }
+      std::vector<runtime::Executor::StmtDispatch>* out) const;
   void ResetStats();
   size_t ApproxBytes() const;
 

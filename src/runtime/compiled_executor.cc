@@ -82,12 +82,6 @@ CompiledExecutor::CompiledExecutor(compiler::TriggerProgram program,
       Fns f;
       f.plain = fns.col_plain;
       f.grouped = fns.col_grouped;
-#ifdef RINGDB_NO_METRICS
-      // No clock to profile with: the first window locks the emitter's
-      // static cost-model preference.
-      f.plain_profile.start_mode = fns.prefer_native ? 1 : 0;
-      f.grouped_profile.start_mode = fns.grouped_prefer_native ? 1 : 0;
-#endif
       fns_.emplace(&lowered_->stmts[t][s], f);
     }
   }
@@ -100,29 +94,17 @@ void CompiledExecutor::CollectDispatch(std::vector<StmtDispatch>* out) const {
   out->assign(lowered_->num_statements, StmtDispatch{});
   for (const auto& [sp, f] : fns_) {
     StmtDispatch& d = (*out)[sp->stmt_id];
-    d.native_available = true;
     d.grouped_available = f.grouped != nullptr;
     d.window_available = true;
-    d.win_plain_mode = f.plain_profile.mode;
-    d.win_grouped_mode = f.grouped != nullptr ? f.grouped_profile.mode : 0;
-    d.profile_native_ns =
-        f.plain_profile.native_ns + f.grouped_profile.native_ns;
-    d.profile_interp_ns =
-        f.plain_profile.interp_ns + f.grouped_profile.interp_ns;
+    d.win_plain_mode = f.plain_ran ? 1 : 3;
+    if (f.grouped != nullptr) d.win_grouped_mode = f.grouped_ran ? 1 : 3;
   }
 }
 
 uint32_t CompiledExecutor::window_dispatch_mode() const {
-  bool native = false;
-  bool profiling = false;
   for (const auto& [sp, f] : fns_) {
-    for (const WindowProfile* prof : {&f.plain_profile, &f.grouped_profile}) {
-      native = native || prof->mode == 1;
-      profiling = profiling || prof->mode == 2;
-    }
+    if (f.plain_ran || f.grouped_ran) return 2;
   }
-  if (native) return 2;
-  if (profiling) return 3;
   return Executor::window_dispatch_mode();
 }
 
@@ -154,58 +136,7 @@ void CompiledExecutor::RunStatementWindow(const lower::StmtProgram& sp,
     Executor::RunStatementWindow(sp, win, rhs);
     return;
   }
-  WindowProfile& prof = is_grouped ? f->grouped_profile : f->plain_profile;
-  if (prof.mode == 3) prof.mode = prof.start_mode;  // first window
-  switch (prof.mode) {
-    case 1:  // locked native window
-      RunNativeWindow(fn, sp, win);
-      return;
-    case 0:  // locked interpreter
-      Executor::RunStatementWindow(sp, win, rhs);
-      return;
-    default:
-      break;  // profiling
-  }
-  // Warmup: alternate whole windows between the native window call and
-  // the interpreter's gather loop, then lock whichever measured cheaper
-  // *per row* — windows vary in width, so the comparison cross-multiplies
-  // ns by the other side's row units. Ties go native.
-  const bool run_native = prof.native_runs <= prof.interp_runs;
-  const uint64_t t0 = obs::NowNs();
-  if (run_native) {
-    RunNativeWindow(fn, sp, win);
-  } else {
-    Executor::RunStatementWindow(sp, win, rhs);
-  }
-  const uint64_t dt = obs::NowNs() - t0;
-  // Each side's first window is discarded from the totals (still counted
-  // as a run): it pays one-off costs — first mirror-column conversion,
-  // module page-in, cold view tables — that would otherwise decide the
-  // lock off one outlier sample.
-  if (run_native) {
-    if (prof.native_runs > 0) {
-      prof.native_ns += dt;
-      prof.native_units += win.n;
-    }
-    ++prof.native_runs;
-  } else {
-    if (prof.interp_runs > 0) {
-      prof.interp_ns += dt;
-      prof.interp_units += win.n;
-    }
-    ++prof.interp_runs;
-  }
-  if (prof.native_runs >= kWarmupRuns && prof.interp_runs >= kWarmupRuns) {
-    prof.mode = (prof.native_ns * prof.interp_units <=
-                 prof.interp_ns * prof.native_units)
-                    ? 1
-                    : 0;
-  }
-}
-
-void CompiledExecutor::RunNativeWindow(RdbColStmtFn fn,
-                                       const lower::StmtProgram& sp,
-                                       const ColWindow& win) {
+  (is_grouped ? f->grouped_ran : f->plain_ran) = true;
   RINGDB_OBS(cur_counters_ = &stmt_counters_[sp.stmt_id]);
   RINGDB_OBS(cur_counters_->native_calls += win.n);
   // Mirror the delta's columns into RdbVal arrays, converting each column

@@ -28,14 +28,11 @@
 // the emitter skips (lazy domain maintenance, rhs reading its own target)
 // all take the base class's per-firing path.
 //
-// Backend choice is per window variant (plain rhs vs grouped rhs) and
-// profile-guided: a variant reads "unused" until its first window, then
-// alternates native and interpreted (gathered) windows during a short
-// warmup, timing both with obs::NowNs, and locks whichever measured
-// cheaper per row on the live workload (cross-multiplied, no division).
-// Under -DRINGDB_NO_METRICS there is no clock, so the first window locks
-// the emitter's static cost-model preference. Engine::Stats exports the
-// decision per statement (StmtDispatch).
+// Dispatch is fixed, not chosen at run time: every window of an emitted
+// variant (plain rhs or grouped rhs) runs its native window function. A
+// variant reads "unused" until its first window, then "native";
+// Engine::Stats exports that per statement (StmtDispatch). Metrics and
+// -DRINGDB_NO_METRICS builds run the same code.
 //
 // Fallback is per statement and per module: statements the emitter skips
 // keep their interpreter implementation, and when no module could be
@@ -86,59 +83,28 @@ class CompiledExecutor : public Executor {
   // owns (mirror columns, span buffers, entry scratch).
   size_t ApproxBytes() const override;
 
-  // Trace-span mode summary over the window profiles: 2 (native) when
-  // any variant locked a native columnar entry point, 3 while any is
-  // still profiling (unused variants do not count), else the
-  // interpreter's own answer.
+  // Trace-span mode summary: 2 (native) once any variant has run a
+  // native window, else the interpreter's own answer.
   uint32_t window_dispatch_mode() const override;
 
  protected:
-  // Whole-window dispatch into the columnar native entry points
-  // (RdbColStmtFn), profiled against the base gather loop, which fires
-  // each row through the interpreter.
+  // Whole-window dispatch: one call into the variant's columnar native
+  // entry point (RdbColStmtFn) per window; statements without one take
+  // the base gather loop, which fires each row through the interpreter.
   void RunStatementWindow(const compiler::lower::StmtProgram& sp,
                           const ColWindow& win,
                           const compiler::lower::RhsProgram& rhs) override;
 
  private:
-  // Profile-guided selection state for one window variant. Mode values
-  // match StmtDispatch: 3 = unused (no window yet), 2 = profiling
-  // (warmup alternation), then 1 = native or 0 = interpreter. Window cost
-  // scales with the window width, so the lock normalizes by row units
-  // (ns x units cross-multiplication): a wide native window and a narrow
-  // gathered one still compare per row. Single-writer per shard, like
-  // everything else in the executor.
-  struct WindowProfile {
-    uint8_t mode = 3;
-    // The mode the first window moves to: 2, or without a clock
-    // (-DRINGDB_NO_METRICS) the static cost-model preference.
-    uint8_t start_mode = 2;
-    uint16_t native_runs = 0;
-    uint16_t interp_runs = 0;
-    uint64_t native_ns = 0;
-    uint64_t interp_ns = 0;
-    uint64_t native_units = 0;
-    uint64_t interp_units = 0;
-  };
-  // Warmup windows per backend before a variant's mode locks. Long
-  // enough to amortize first-touch effects (branch training, view growth
-  // during early batches), short enough that profiling cost is invisible
-  // next to steady-state throughput.
-  static constexpr uint16_t kWarmupRuns = 12;
-
+  // A statement's window entry points and whether each variant has run
+  // (StmtDispatch reads 3 = unused until then, 1 = native after).
+  // Single-writer per shard, like everything else in the executor.
   struct Fns {
     RdbColStmtFn plain = nullptr;
     RdbColStmtFn grouped = nullptr;  // null when not groupable
-    WindowProfile plain_profile;
-    WindowProfile grouped_profile;
+    bool plain_ran = false;
+    bool grouped_ran = false;
   };
-
-  // The native half of RunStatementWindow: mirrors the window's columns
-  // into cached RdbVal arrays (once per delta epoch, shared by every
-  // statement window cut from it), converts the scales, and runs the
-  // whole window in one RdbColStmtFn call.
-  void RunNativeWindow(RdbColStmtFn fn, const compiler::lower::StmtProgram& sp,
-                       const ColWindow& win);
 
   // The host-api table handed to every native call (function-local static
   // so the private trampolines stay private).
@@ -156,7 +122,7 @@ class CompiledExecutor : public Executor {
   static void Fail(void* ctx, const char* msg);
 
   std::shared_ptr<const NativeModule> module_;
-  // Lowered statement -> native entry points + profiles, resolved once
+  // Lowered statement -> native entry points, resolved once
   // (lowered_ is immutable and shared, so StmtProgram addresses are
   // stable keys).
   std::unordered_map<const compiler::lower::StmtProgram*, Fns> fns_;

@@ -128,8 +128,6 @@ const char* ModeName(uint8_t mode) {
   switch (mode) {
     case 1:
       return "native";
-    case 2:
-      return "profiling";
     case 3:
       return "unused";
     default:
@@ -211,7 +209,7 @@ std::string Engine::StatsText() const {
         mode += ModeName(row.dispatch.win_grouped_mode);
       }
     }
-    if (!row.dispatch.native_available) mode = "interp-only";
+    if (!row.dispatch.window_available) mode = "interp-only";
     char win_ms[32];
     std::snprintf(win_ms, sizeof(win_ms), "%.1f", c.window_ns / 1e6);
     table.AddRow({row.label, std::to_string(c.invocations),
@@ -282,8 +280,6 @@ std::string Engine::StatsJson(int indent) const {
            ", \"native_calls\": " + std::to_string(c.native_calls) +
            ", \"interp_calls\": " + std::to_string(c.interp_calls) +
            ", \"window_ns\": " + std::to_string(c.window_ns) +
-           ", \"native_available\": " +
-           (row.dispatch.native_available ? "true" : "false") +
            ", \"window_available\": " +
            (row.dispatch.window_available ? "true" : "false") +
            ", \"plain_mode\": \"" + ModeName(row.dispatch.plain_mode) +

@@ -165,8 +165,8 @@ class Engine {
   const Status& native_status() const { return sharded_->native_status(); }
 
   // One lowered statement's observability row (see Executor::StmtCounters
-  // / StmtDispatch): cross-shard counter sums plus shard 0's backend
-  // dispatch state, labeled for humans ("+lineitem s0 -> m1").
+  // / StmtDispatch): cross-shard counter sums plus the shards' merged
+  // backend dispatch state, labeled for humans ("+lineitem s0 -> m1").
   struct StmtStats {
     uint32_t stmt_id = 0;
     std::string label;

@@ -294,9 +294,8 @@ void Executor::RunStatementWindow(const lower::StmtProgram& sp,
                                   const lower::RhsProgram& rhs) {
   // Base implementation: gather each row's params and interpret the
   // firing, so an interpreter-only executor (and the compiled backend for
-  // statements without a native window, or while its profiler runs the
-  // interpreted side) executes windows row by row with unchanged
-  // semantics and counters.
+  // statements without a native window) executes windows row by row with
+  // unchanged semantics and counters.
   param_gather_.resize(win.arity);
   for (size_t i = 0; i < win.n; ++i) {
     const uint32_t r = win.rows[i];

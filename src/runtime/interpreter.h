@@ -86,26 +86,26 @@ class Executor {
   };
 
   // Per-statement backend dispatch report for stats export; the compiled
-  // backend overrides with its profile-guided window decisions. Modes:
-  // 0 = interpreter, 1 = native, 2 = profiling (warmup alternation still
-  // measuring), 3 = unused (no window of this variant has run yet).
+  // backend overrides it for the statements it emitted. Modes:
+  // 0 = interpreter, 1 = native, 3 = unused (no window of this variant
+  // has run yet). A window variant with native code reads 3 until its
+  // first window and 1 from then on.
   struct StmtDispatch {
-    bool native_available = false;    // the statement has native code
     bool grouped_available = false;   // grouped rhs has a native window
     bool window_available = false;    // columnar-window entry point exists
-                                      // (native code exists only as
-                                      // windows, so == native_available)
+                                      // (the only native code there is)
     // Per-firing execution (single tuples, single-row groups, gathered
     // windows): always 0, the interpreter.
     uint8_t plain_mode = 0;
     uint8_t grouped_mode = 0;
-    // Whole-window dispatch (native columnar call vs the interpreter's
-    // gather loop); meaningless unless window_available, and
+    // Whole-window dispatch; meaningless unless window_available, and
     // win_grouped_mode unless grouped_available.
     uint8_t win_plain_mode = 0;
     uint8_t win_grouped_mode = 0;
-    uint64_t profile_native_ns = 0;   // warmup wall time, native runs
-    uint64_t profile_interp_ns = 0;   // warmup wall time, interpreted runs
+    // Always 0: nothing is timed to choose a backend any more. Kept
+    // because the benchmark's dispatch fingerprint still reads them.
+    uint64_t profile_native_ns = 0;
+    uint64_t profile_interp_ns = 0;
   };
 
   explicit Executor(compiler::TriggerProgram program);
@@ -201,8 +201,7 @@ class Executor {
   }
   // How this executor dispatches whole columnar windows, for per-shard
   // trace spans: 1 = interpreted / gathered windows, 2 = native window
-  // entry points, 3 = still profiling. Base executor never has native
-  // windows.
+  // entry points. Base executor never has native windows.
   virtual uint32_t window_dispatch_mode() const { return 1; }
   void ResetStats() {
     stats_ = Stats();

@@ -249,8 +249,6 @@ StatusOr<std::shared_ptr<NativeModule>> NativeModule::LoadAndResolve(
           }
         }
       }
-      fns.prefer_native = cs.prefer_native;
-      fns.grouped_prefer_native = cs.grouped_prefer_native;
       module->fns_[t][s] = fns;
       ++module->native_statements_;
     }

@@ -46,14 +46,10 @@ class NativeModule {
   // Per-statement columnar-window entry points; null col_plain means the
   // statement was not emitted and always interprets. col_grouped is null
   // for non-groupable statements and aliases col_plain when the grouped
-  // rhs folds nothing. The prefer flags carry the emitter's static cost-
-  // model verdict per variant (compiler::CodegenStmt), which the compiled
-  // executor locks when it has no clock to profile with.
+  // rhs folds nothing.
   struct StmtFns {
     RdbColStmtFn col_plain = nullptr;
     RdbColStmtFn col_grouped = nullptr;
-    bool prefer_native = true;
-    bool grouped_prefer_native = true;
   };
 
   // Emits, compiles, caches, and loads the module for `program`. Errors

@@ -60,7 +60,6 @@ void rdb_t2_s0_w(const RdbHostApi* api, void* ctx, const RdbColWin* win) {
   if (e.nb) api->add_span(ctx, 0, kb, vb, e.nb, 1);
 }
 
-/* grouped variant of stmt 0: static cost model prefers interpreter */
 static void rdb_t2_s0_gw_body(rdb_t2_s0_env* E) {
   RdbNum v = E->lv[0];
   if (rdb_is_zero(v)) return;

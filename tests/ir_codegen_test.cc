@@ -16,6 +16,7 @@
 #include "compiler/codegen_c.h"
 #include "compiler/compile.h"
 #include "compiler/ir.h"
+#include "compiler/lower.h"
 #include "sql/translate.h"
 #include "workload/stream.h"
 
@@ -201,13 +202,10 @@ TEST(CodegenTest, GroupedVariantSharedWhenNothingFolds) {
   EXPECT_TRUE(any_shared);
 }
 
-TEST(CodegenTest, TrivialForwardedLoopPrefersInterpreter) {
-  // The strength-reduced grouped join (rhs = one forwarded load) is a
-  // bind-and-copy loop the interpreter already executes optimally; the
-  // static cost model must flag it prefer-interpreter so profiling-free
-  // builds (-DRINGDB_NO_METRICS) keep it off the ABI marshalling tax.
-  // The window variant is still *emitted* — the runtime's window
-  // profiler may overturn the verdict on the live workload.
+TEST(CodegenTest, SingleLoadGroupedLoopEmitsWindow) {
+  // The strength-reduced grouped join (a loop whose grouped rhs is one
+  // forwarded load) is emitted like any other variant: it gets its own
+  // window entry point, and every window of it runs native.
   ring::Catalog catalog;
   catalog.AddRelation(S("Rcm"), {S("ok"), S("ck")});
   catalog.AddRelation(S("Scm"), {S("ok2"), S("v")});
@@ -217,19 +215,26 @@ TEST(CodegenTest, TrivialForwardedLoopPrefersInterpreter) {
   auto compiled = Compile(catalog, {S("c")}, body);
   ASSERT_TRUE(compiled.ok());
   CodegenModule mod = GenerateModule(compiled->program);
-  bool any_prefer_interp = false;
-  for (const auto& trigger : mod.stmts) {
-    for (const CodegenStmt& cs : trigger) {
-      if (!cs.emitted) continue;
-      EXPECT_FALSE(cs.win_fn.empty());
-      if (!cs.prefer_native || !cs.grouped_prefer_native) {
-        any_prefer_interp = true;
+  std::shared_ptr<const lower::LoweredProgram> lowered =
+      lower::Lower(compiled->program);
+  ASSERT_EQ(mod.stmts.size(), lowered->stmts.size());
+  bool any_single_load = false;
+  for (size_t t = 0; t < mod.stmts.size(); ++t) {
+    for (size_t s = 0; s < mod.stmts[t].size(); ++s) {
+      const lower::StmtProgram& sp = lowered->stmts[t][s];
+      if (!sp.groupable || sp.loops.empty() ||
+          sp.grouped_rhs.ops.size() != 1) {
+        continue;
       }
+      any_single_load = true;
+      const CodegenStmt& cs = mod.stmts[t][s];
+      ASSERT_TRUE(cs.emitted) << sp.ToString();
+      ASSERT_FALSE(cs.grouped_win_fn.empty()) << sp.ToString();
+      EXPECT_NE(mod.source.find("void " + cs.grouped_win_fn + "("),
+                std::string::npos);
     }
   }
-  EXPECT_TRUE(any_prefer_interp);
-  EXPECT_NE(mod.source.find("static cost model prefers interpreter"),
-            std::string::npos);
+  EXPECT_TRUE(any_single_load);
 }
 
 // Golden-file lock on the emitted C of the revenue query's +lineitem

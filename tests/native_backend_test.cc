@@ -155,9 +155,9 @@ TEST(NativeBackendTest, CompiledMatchesInterpreterOnRevenueStream) {
   EXPECT_EQ(compiled->ResultGmr(), interp->ResultGmr());
   const std::vector<uint64_t> after_batch = NativeCalls(*compiled);
 #ifndef RINGDB_NO_METRICS
-  // Native code runs as whole columnar windows; the profiler starts each
-  // window variant on its native side, so the batch phase must have
-  // called into the module.
+  // Native code runs as whole columnar windows, and every window of an
+  // emitted variant runs native, so the batch phase must have called
+  // into the module.
   if (ExpectNative()) {
     uint64_t batch_native = 0;
     for (uint64_t n : after_batch) batch_native += n;
@@ -187,9 +187,8 @@ TEST(NativeBackendTest, WindowVariantsReadUnusedUnderSingleTupleApply) {
   for (const Update& u : RevenueStream(catalog, 500)) {
     ASSERT_TRUE(compiled->Apply(u).ok());
   }
-  // No window ever ran, so no window variant is profiling or locked:
-  // each one says so, and the trace-span summary reports interpreted
-  // dispatch rather than profiling.
+  // No window ever ran, so no window variant has run native: each one
+  // says so, and the trace-span summary reports interpreted dispatch.
   size_t windows = 0;
   for (const Engine::StmtStats& s : compiled->Stats().statements) {
     EXPECT_EQ(s.dispatch.plain_mode, 0) << s.label;
@@ -210,6 +209,72 @@ TEST(NativeBackendTest, WindowVariantsReadUnusedUnderSingleTupleApply) {
   EXPECT_NE(json.find("\"win_plain_mode\": \"unused\""), std::string::npos)
       << json;
   EXPECT_EQ(json.find("profiling"), std::string::npos) << json;
+}
+
+// Checks the dispatch report after some windows ran: every window variant
+// reads native (1) or, if no window of it ran, unused (3), never the
+// interpreter, and both a plain and a grouped variant ran native.
+void ExpectWindowsRanNative(const Engine& engine) {
+  size_t plain_native = 0;
+  size_t grouped_native = 0;
+  for (const Engine::StmtStats& s : engine.Stats().statements) {
+    if (!s.dispatch.window_available) continue;
+    EXPECT_TRUE(s.dispatch.win_plain_mode == 1 ||
+                s.dispatch.win_plain_mode == 3)
+        << s.label << " win_plain_mode " << int{s.dispatch.win_plain_mode};
+    plain_native += s.dispatch.win_plain_mode == 1;
+    if (!s.dispatch.grouped_available) continue;
+    EXPECT_TRUE(s.dispatch.win_grouped_mode == 1 ||
+                s.dispatch.win_grouped_mode == 3)
+        << s.label << " win_grouped_mode "
+        << int{s.dispatch.win_grouped_mode};
+    grouped_native += s.dispatch.win_grouped_mode == 1;
+  }
+  EXPECT_GT(plain_native, 0u) << engine.StatsText();
+  EXPECT_GT(grouped_native, 0u) << engine.StatsText();
+  const std::string text = engine.StatsText();
+  EXPECT_NE(text.find("w:native"), std::string::npos) << text;
+  EXPECT_EQ(text.find("profiling"), std::string::npos) << text;
+  EXPECT_EQ(text.find("interp-only"), std::string::npos) << text;
+}
+
+TEST(NativeBackendTest, WindowVariantsRunNativeFromTheFirstWindow) {
+  ring::Catalog catalog = workload::OrdersSchema();
+  sql::TranslatedQuery q = RevenueQuery(catalog);
+  auto compiled = CompiledEngine(catalog, q, 1024, 1);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled->native_enabled()) {
+    ASSERT_FALSE(ExpectNative()) << compiled->native_status().ToString();
+    GTEST_SKIP() << compiled->native_status().ToString();
+  }
+  // One window: there is no warm-up before a variant runs native, with or
+  // without metrics.
+  ASSERT_TRUE(compiled->ApplyBatch(RevenueStream(catalog, 1024)).ok());
+  ExpectWindowsRanNative(*compiled);
+  EXPECT_EQ(compiled->executor().window_dispatch_mode(), 2u);
+}
+
+TEST(NativeBackendTest, DispatchMergesAcrossShards) {
+  ring::Catalog catalog = workload::OrdersSchema();
+  sql::TranslatedQuery q = RevenueQuery(catalog);
+  auto compiled = CompiledEngine(catalog, q, 1024, 2);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled->native_enabled()) {
+    ASSERT_FALSE(ExpectNative()) << compiled->native_status().ToString();
+    GTEST_SKIP() << compiled->native_status().ToString();
+  }
+  ASSERT_EQ(compiled->num_shards(), 2u);
+  // A batch whose every row routes to shard 1: shard 0 runs no window,
+  // and the engine's report must still say what shard 1 ran.
+  std::vector<Update> shard1;
+  for (const Update& u : RevenueStream(catalog, 4096)) {
+    if (compiled->partition_scheme().ShardOf(u.relation, u.values, 2) == 1) {
+      shard1.push_back(u);
+    }
+  }
+  ASSERT_GT(shard1.size(), 256u);
+  ASSERT_TRUE(compiled->ApplyBatch(shard1).ok());
+  ExpectWindowsRanNative(*compiled);
 }
 
 TEST(NativeBackendTest, ShardedCompiledMatchesInterpreter) {

@@ -266,9 +266,8 @@ TEST(MetricsExactnessTest, CountersAreConstantPerUpdate) {
 // backends over one fixed revenue-query stream. Within each
 // (batch, shards) cell the interpreter and the compiled backend must
 // produce identical semantic counters and identical engine totals —
-// native execution (including its profile-guided interp/native
-// alternation during warmup) may change *where* work runs, never how
-// much work the lowered program does.
+// native windows may change *where* work runs, never how much work the
+// lowered program does.
 TEST(MetricsExactnessTest, CountersAreBackendInvariantAcrossGrid) {
   SKIP_WITHOUT_METRICS();
   ring::Catalog catalog = workload::OrdersSchema();
